@@ -28,6 +28,11 @@ Quick start::
     courses = Relation.of_ints(("course_no",), [(10,), (11,)], name="courses")
     quotient = divide(transcript, courses)       # hash-division
     assert quotient.rows == [(1,)]               # student 1 took all courses
+
+    # A named strategy (repro.plan.physical.DIVISION_OPERATOR_STRATEGIES),
+    # or the planner's pick from the actual input statistics:
+    divide(transcript, courses, algorithm="hash-agg with join")
+    quotient, strategy = divide_with_advisor(transcript, courses)
 """
 
 from repro.errors import (
@@ -46,7 +51,6 @@ from repro.relalg import (
     algebra,
 )
 from repro.core import (
-    ALGORITHMS,
     Bitmap,
     HashDivision,
     NaiveDivision,
@@ -55,12 +59,8 @@ from repro.core import (
     divide,
     divide_with_advisor,
     divisor_partitioned_division,
-    hash_aggregate_division,
-    hash_division,
     hash_division_with_overflow,
-    naive_division,
     quotient_partitioned_division,
-    sort_aggregate_division,
 )
 from repro.executor.iterator import ExecContext, run_to_relation
 from repro.obs import (
@@ -92,13 +92,8 @@ __all__ = [
     # algorithms
     "divide",
     "divide_with_advisor",
-    "ALGORITHMS",
-    "hash_division",
     "HashDivision",
-    "naive_division",
     "NaiveDivision",
-    "sort_aggregate_division",
-    "hash_aggregate_division",
     "algebraic_division",
     "quotient_partitioned_division",
     "divisor_partitioned_division",

@@ -500,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands.add_parser("figure2", help="run the worked example").set_defaults(
         handler=_cmd_figure2
     )
-    from repro.experiments.runner import STRATEGIES as _STRATEGIES
+    from repro.plan.physical import STRATEGIES as _STRATEGIES
 
     trace_parser = commands.add_parser(
         "trace",
@@ -613,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
         "next() calls, Comp/Hash/Move/Bit deltas, buffer and I/O activity, "
         "and Table 1/Table 3 model milliseconds.",
     )
-    from repro.experiments.runner import STRATEGIES
+    from repro.plan.physical import STRATEGIES
 
     profile_parser.add_argument(
         "--strategy",

@@ -13,17 +13,14 @@
 * :mod:`repro.core.partitioned` -- hash-table-overflow handling via
   quotient partitioning and divisor partitioning (Section 3.4),
 * :mod:`repro.core.bitmap` -- word-at-a-time bit maps,
-* :mod:`repro.core.divide` -- the high-level :func:`repro.divide`
-  entry point that picks an algorithm.
+* :mod:`repro.core.divide` -- the high-level :func:`repro.divide` and
+  :func:`repro.divide_with_advisor` entry points, thin calls into the
+  planner (:mod:`repro.plan`).
 """
 
 from repro.core.bitmap import Bitmap
-from repro.core.hash_division import HashDivision, hash_division
-from repro.core.naive_division import NaiveDivision, naive_division
-from repro.core.aggregate_division import (
-    hash_aggregate_division,
-    sort_aggregate_division,
-)
+from repro.core.hash_division import HashDivision
+from repro.core.naive_division import NaiveDivision
 from repro.core.algebraic_division import algebraic_division
 from repro.core.partitioned import (
     combined_partitioned_division,
@@ -31,22 +28,13 @@ from repro.core.partitioned import (
     hash_division_with_overflow,
     quotient_partitioned_division,
 )
-from repro.core.divide import (
-    ALGORITHMS,
-    advisor_dispatch,
-    divide,
-    divide_with_advisor,
-)
+from repro.core.divide import divide, divide_with_advisor
 from repro.core.trace import DivisionTrace, TraceEvent, trace_hash_division
 
 __all__ = [
     "Bitmap",
     "HashDivision",
-    "hash_division",
     "NaiveDivision",
-    "naive_division",
-    "sort_aggregate_division",
-    "hash_aggregate_division",
     "algebraic_division",
     "quotient_partitioned_division",
     "divisor_partitioned_division",
@@ -54,8 +42,6 @@ __all__ = [
     "hash_division_with_overflow",
     "divide",
     "divide_with_advisor",
-    "advisor_dispatch",
-    "ALGORITHMS",
     "DivisionTrace",
     "TraceEvent",
     "trace_hash_division",

@@ -1,41 +1,24 @@
-"""The high-level :func:`divide` entry point.
+"""The high-level :func:`divide` entry points.
 
 ``divide(R, S)`` runs relational division over two in-memory relations
-with a chosen -- or automatically chosen -- algorithm.  The automatic
-choice follows the paper's conclusions: hash-division, being "both fast
-and general" (Section 7), is the default whenever it applies; the other
-algorithms are available by name for comparison and teaching.
+with a named -- or the default -- strategy, and ``divide_with_advisor``
+lets the planner choose.  Both go through :mod:`repro.plan`: the
+strategy names are the planner's one vocabulary
+(:data:`~repro.plan.physical.DIVISION_OPERATOR_STRATEGIES`), and the
+operator trees come from its one factory.  The default follows the
+paper's conclusions: hash-division, being "both fast and general"
+(Section 7), applies to every input.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.errors import DivisionError
-from repro.core.aggregate_division import (
-    hash_aggregate_division,
-    sort_aggregate_division,
-)
-from repro.core.algebraic_division import algebraic_division
-from repro.core.hash_division import hash_division
-from repro.core.naive_division import naive_division
-from repro.executor.iterator import ExecContext
-from repro.relalg.algebra import divide_set_semantics, division_attribute_split
+from repro.executor.iterator import ExecContext, run_to_relation
+from repro.executor.scan import RelationSource
+from repro.plan.logical import DivideNode, SourceNode
+from repro.plan.physical import DIVISION_OPERATOR_STRATEGIES, build_division_operator
+from repro.plan.planner import compile_plan
 from repro.relalg.relation import Relation
-
-DivisionFunction = Callable[..., Relation]
-
-ALGORITHMS: dict[str, DivisionFunction] = {
-    "hash": hash_division,
-    "naive": naive_division,
-    "sort-aggregate": sort_aggregate_division,
-    "hash-aggregate": hash_aggregate_division,
-    "algebraic": algebraic_division,
-    "oracle": lambda dividend, divisor, ctx=None, name="quotient": (
-        divide_set_semantics(dividend, divisor, name=name)
-    ),
-}
-"""Algorithm registry: name -> callable(dividend, divisor, ...)."""
 
 
 def divide(
@@ -44,7 +27,6 @@ def divide(
     algorithm: str = "auto",
     ctx: ExecContext | None = None,
     name: str = "quotient",
-    **options,
 ) -> Relation:
     """Compute ``dividend ÷ divisor``.
 
@@ -52,15 +34,14 @@ def divide(
         dividend: Relation whose schema contains the divisor attributes
             plus at least one quotient attribute.
         divisor: Relation of the universally quantified values.
-        algorithm: One of ``"auto"``, ``"hash"``, ``"naive"``,
-            ``"sort-aggregate"``, ``"hash-aggregate"``,
-            ``"algebraic"``, or ``"oracle"``.
+        algorithm: ``"auto"`` (hash-division) or one of
+            :data:`~repro.plan.physical.DIVISION_OPERATOR_STRATEGIES`.
+            The counting strategies eliminate duplicates first; the
+            ``"no join"`` ones are correct only when every divisor value
+            in the dividend occurs in the divisor (Section 2.2).
         ctx: Execution context for cost metering; a fresh unbudgeted
             context is created when omitted.
         name: Name of the returned quotient relation.
-        **options: Algorithm-specific keywords, e.g. ``with_join=True``
-            for the aggregation strategies, ``early_output=True`` or
-            ``mode="counter"`` for hash-division.
 
     Returns:
         The quotient relation (duplicate-free).
@@ -69,62 +50,22 @@ def divide(
         DivisionError: for an unknown algorithm name or schemas that do
             not form a valid division.
     """
-    division_attribute_split(dividend, divisor)  # validate early
-    chosen = _resolve(algorithm, divisor)
-    function = ALGORITHMS[chosen]
-    return function(dividend, divisor, ctx=ctx, name=name, **options)
-
-
-def _resolve(algorithm: str, divisor: Relation) -> str:
-    if algorithm == "auto":
-        # Hash-division is the paper's general answer; only the
-        # aggregation strategies cannot handle an empty divisor, and
-        # hash-division handles duplicates in either input, so there is
-        # no input shape that forces a different automatic choice.
-        return "hash"
-    if algorithm not in ALGORITHMS:
+    strategy = "hash-division" if algorithm == "auto" else algorithm
+    if strategy not in DIVISION_OPERATOR_STRATEGIES:
         raise DivisionError(
-            f"unknown division algorithm {algorithm!r}; "
-            f"expected one of {sorted(ALGORITHMS)} or 'auto'/'advisor'"
+            f"unknown division algorithm {algorithm!r}; expected 'auto' "
+            f"or one of {', '.join(map(repr, DIVISION_OPERATOR_STRATEGIES))}"
         )
-    return algorithm
-
-
-#: Maps the cost advisor's strategy names onto divide() invocations.
-#: Private storage -- read it through :func:`advisor_dispatch`.
-_ADVISOR_DISPATCH: dict[str, tuple[str, dict]] = {
-    "hash-division": ("hash", {}),
-    "naive": ("naive", {}),
-    "sort-agg no join": ("sort-aggregate", {"with_join": False}),
-    "sort-agg with join": ("sort-aggregate", {"with_join": True}),
-    "hash-agg no join": ("hash-aggregate", {"with_join": False}),
-    "hash-agg with join": ("hash-aggregate", {"with_join": True}),
-}
-
-
-def advisor_dispatch(strategy: str | None = None):
-    """Public accessor for the advisor-strategy -> divide() registry.
-
-    Args:
-        strategy: An advisor strategy name (e.g. ``"sort-agg with
-            join"``).  When given, returns its ``(algorithm, options)``
-            pair -- ``options`` is a fresh dict, safe to mutate.  When
-            omitted, returns a copy of the whole registry.
-
-    Raises:
-        DivisionError: for an unknown strategy name.
-    """
-    if strategy is None:
-        return {name: (algo, dict(opts)) for name, (algo, opts) in
-                _ADVISOR_DISPATCH.items()}
-    try:
-        algorithm, options = _ADVISOR_DISPATCH[strategy]
-    except KeyError:
-        raise DivisionError(
-            f"unknown advisor strategy {strategy!r}; "
-            f"expected one of {sorted(_ADVISOR_DISPATCH)}"
-        ) from None
-    return algorithm, dict(options)
+    ctx = ctx or ExecContext()
+    operator = build_division_operator(
+        strategy,
+        RelationSource(ctx, dividend),
+        RelationSource(ctx, divisor),
+        expected_divisor=len(divisor),
+        eliminate_duplicates=True,
+        distinct_sorts=True,
+    )
+    return run_to_relation(operator, name=name)
 
 
 def divide_with_advisor(
@@ -134,32 +75,16 @@ def divide_with_advisor(
     ctx: ExecContext | None = None,
     name: str = "quotient",
 ) -> tuple[Relation, str]:
-    """Divide using the cost advisor's pick; returns (quotient, strategy).
+    """Divide using the planner's pick; returns (quotient, strategy).
 
-    Feeds the *actual* input statistics (cardinalities, duplicate
-    presence) to :func:`repro.costmodel.advisor.choose_strategy` and
-    runs the winner.  ``divisor_restricted`` must be set when the
-    divisor is a selection result whose values may miss some dividend
-    tuples -- the advisor then refuses the no-join counting strategies
-    (Section 2.2's correctness requirement).
+    Compiles the division like a ``contains`` query: the planner's exact
+    statistics pass feeds the cost advisor, and also checks that the
+    divisor covers the dividend's divisor values, so the no-join
+    counting strategies are refused whenever they would be wrong.  Set
+    ``divisor_restricted`` when the divisor is a selection result; the
+    advisor then refuses them outright (Section 2.2).
     """
-    from repro.costmodel.advisor import DivisionEstimates, choose_strategy
-
-    quotient_names, _ = division_attribute_split(dividend, divisor)
-    estimates = DivisionEstimates(
-        dividend_tuples=len(dividend),
-        divisor_tuples=len(set(divisor.rows)),
-        quotient_tuples=len({tuple(row[i] for i in
-                             dividend.schema.positions_of(quotient_names))
-                             for row in dividend}),
-        divisor_restricted=divisor_restricted,
-        may_contain_duplicates=dividend.has_duplicates() or divisor.has_duplicates(),
+    plan = compile_plan(
+        DivideNode(SourceNode(dividend), SourceNode(divisor), divisor_restricted), ctx
     )
-    picked = choose_strategy(estimates)
-    algorithm, options = advisor_dispatch(picked.strategy)
-    if algorithm in ("sort-aggregate", "hash-aggregate"):
-        options["eliminate_duplicates"] = estimates.may_contain_duplicates
-    quotient = divide(
-        dividend, divisor, algorithm=algorithm, ctx=ctx, name=name, **options
-    )
-    return quotient, picked.strategy
+    return plan.execute(name), plan.decisions[0].strategy

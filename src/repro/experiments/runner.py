@@ -19,19 +19,9 @@ from repro.executor.iterator import ExecContext, QueryIterator, run_to_relation
 from repro.obs.profile import QueryProfile, build_profile
 from repro.obs.span import Clock, MONOTONIC_CLOCK
 from repro.executor.scan import StoredRelationScan
-from repro.plan.physical import build_division_operator
+from repro.plan.physical import STRATEGIES, build_division_operator
 from repro.relalg.relation import Relation
 from repro.storage.catalog import Catalog
-
-STRATEGIES: tuple[str, ...] = (
-    "naive",
-    "sort-agg no join",
-    "sort-agg with join",
-    "hash-agg no join",
-    "hash-agg with join",
-    "hash-division",
-)
-"""Strategy names, matching the Table 2/Table 4 column order."""
 
 
 @dataclass
@@ -74,8 +64,8 @@ def build_strategy_plan(
     This is a thin adapter over the planner layer's
     :func:`repro.plan.physical.build_division_operator` -- the single
     strategy-name -> operator-tree factory shared with compiled
-    ``contains`` queries -- kept for the experiment harness's
-    vocabulary (Table 4 strategy names, duplicate-free default).
+    ``contains`` queries -- that admits only the six measured
+    :data:`STRATEGIES` and keeps the harness's duplicate-free default.
     """
     if strategy not in STRATEGIES:
         raise ExperimentError(

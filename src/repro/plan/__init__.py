@@ -36,6 +36,7 @@ from repro.plan.logical import (
 from repro.plan.operators import MaterializedDivision
 from repro.plan.physical import (
     DIVISION_OPERATOR_STRATEGIES,
+    STRATEGIES,
     PhysicalPlan,
     build_division_operator,
 )
@@ -44,6 +45,7 @@ from repro.plan.planner import (
     Planner,
     collect_division_estimates,
     compile_plan,
+    decide_division,
 )
 
 __all__ = [
@@ -61,9 +63,11 @@ __all__ = [
     "MaterializedDivision",
     "build_division_operator",
     "DIVISION_OPERATOR_STRATEGIES",
+    "STRATEGIES",
     # planner
     "Planner",
     "DivisionDecision",
     "collect_division_estimates",
+    "decide_division",
     "compile_plan",
 ]

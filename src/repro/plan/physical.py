@@ -19,9 +19,11 @@ subtrees.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import ExecutionError, ExperimentError, HashTableOverflowError
+from repro.costmodel.advisor import DivisionEstimates
+from repro.costmodel.scenarios import TABLE2_COLUMNS
 from repro.core.aggregate_division import (
     HashAggregateDivision,
     SortAggregateDivision,
@@ -39,18 +41,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.plan.logical import LogicalNode
     from repro.plan.planner import DivisionDecision
 
-#: Every strategy name the factory accepts: the six advisor/Table 2
-#: strategies plus the two relation-level methods.
-DIVISION_OPERATOR_STRATEGIES: tuple[str, ...] = (
-    "naive",
-    "sort-agg no join",
-    "sort-agg with join",
-    "hash-agg no join",
-    "hash-agg with join",
-    "hash-division",
-    "algebraic",
-    "oracle",
-)
+#: The six strategies the advisor prices and Tables 2 and 4 measure,
+#: in the paper's column order.
+STRATEGIES: tuple[str, ...] = TABLE2_COLUMNS
+
+#: Every strategy name the factory accepts: :data:`STRATEGIES` plus the
+#: two relation-level methods.
+DIVISION_OPERATOR_STRATEGIES: tuple[str, ...] = STRATEGIES + ("algebraic", "oracle")
 
 
 def build_division_operator(
@@ -134,6 +131,31 @@ def build_division_operator(
     )
 
 
+def overflow_fallback(
+    estimates: DivisionEstimates,
+    dividend_factory: Callable[[], QueryIterator],
+    divisor_factory: Callable[[], QueryIterator],
+    name: str = "quotient",
+) -> Relation:
+    """Re-run an overflowed division as partitioned hash-division (§3.4).
+
+    Partitions the dimension the estimates expect to be the memory hog:
+    quotient partitioning shrinks the quotient table per phase (and is
+    required for the vacuous empty-divisor case, where dropping empty
+    divisor clusters would drop every candidate); divisor partitioning
+    shrinks the divisor table and the bit maps when the divisor
+    dominates.  Hash-division is duplicate-immune and handles the empty
+    divisor, so the fallback is correct whichever strategy overflowed.
+    """
+    by_divisor = estimates.divisor_tuples > estimates.estimated_quotient
+    return hash_division_with_overflow(
+        dividend_factory,
+        divisor_factory,
+        strategy="divisor" if by_divisor else "quotient",
+        name=name,
+    )
+
+
 @dataclass
 class PhysicalPlan:
     """A compiled, executable physical plan.
@@ -167,41 +189,22 @@ class PhysicalPlan:
 
         A :class:`~repro.errors.HashTableOverflowError` under a tight
         memory budget does not fail the query: the plan falls back to
-        adaptive partitioned hash-division (Section 3.4) over the same
-        input subtrees, which spools partitions to temporary files
-        instead of holding everything in memory.  Hash-division is
-        duplicate-immune and handles the empty divisor, so the fallback
-        is correct whichever strategy overflowed.
+        adaptive partitioned hash-division (:func:`overflow_fallback`)
+        over the same input subtrees, which spools partitions to
+        temporary files instead of holding everything in memory.
         """
         try:
             return run_to_relation(self.root, name=name)
         except HashTableOverflowError:
             if self.dividend_input is None or self.divisor_input is None:
                 raise
-            return self._overflow_fallback(name)
-
-    def _overflow_fallback(self, name: str) -> Relation:
         tracer = self.ctx.tracer
         if tracer.enabled:
             tracer.count("repro_plan_overflow_fallback_total")
-        # Partition the dimension the planner expects to be the memory
-        # hog: quotient partitioning shrinks the quotient table per
-        # phase (and is required for the vacuous empty-divisor case,
-        # where dropping empty divisor clusters would drop every
-        # candidate); divisor partitioning shrinks the divisor table
-        # and the bit maps when the divisor dominates.
-        strategy = "quotient"
-        for decision in self.decisions:
-            estimates = decision.estimates
-            if (
-                estimates.divisor_tuples > 0
-                and estimates.divisor_tuples > estimates.estimated_quotient
-            ):
-                strategy = "divisor"
-        return hash_division_with_overflow(
+        return overflow_fallback(
+            self.decisions[0].estimates,
             lambda: self.dividend_input,
             lambda: self.divisor_input,
-            strategy=strategy,
             name=name,
         )
 

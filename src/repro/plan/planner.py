@@ -42,21 +42,43 @@ class DivisionDecision:
     """The planner's record of one division-algorithm choice.
 
     Attributes:
-        strategy: The advisor strategy name that won.
         estimates: The statistics the advisor priced.
         quotient_names: The result attributes of the division.
         choice: The full advisor verdict, including the ranking of
             every applicable strategy -- kept so ``explain()`` can show
             the alternatives, not just the winner.
-        eliminate_duplicates: Whether the compiled counting strategy
-            carries explicit duplicate-elimination preprocessing.
     """
 
-    strategy: str
     estimates: DivisionEstimates
     quotient_names: tuple[str, ...]
     choice: AdvisorChoice
-    eliminate_duplicates: bool = False
+
+    @property
+    def strategy(self) -> str:
+        """The advisor strategy name that won."""
+        return self.choice.strategy
+
+    @property
+    def eliminate_duplicates(self) -> bool:
+        """Whether the compiled counting strategy carries explicit
+        duplicate-elimination preprocessing (the paper's footnote 1)."""
+        return self.estimates.may_contain_duplicates and self.strategy.startswith(
+            ("sort-agg", "hash-agg")
+        )
+
+    def build_operator(
+        self, dividend: QueryIterator, divisor: QueryIterator
+    ) -> QueryIterator:
+        """The chosen strategy's operator tree over the given inputs."""
+        return build_division_operator(
+            self.strategy,
+            dividend,
+            divisor,
+            expected_divisor=self.estimates.divisor_tuples,
+            expected_quotient=self.estimates.estimated_quotient,
+            eliminate_duplicates=self.eliminate_duplicates,
+            distinct_sorts=True,
+        )
 
     def render(self) -> str:
         """Multi-line decision summary for plan display."""
@@ -141,6 +163,17 @@ def collect_division_estimates(
     return estimates, quotient_names
 
 
+def decide_division(
+    node: DivideNode, units: CostUnits = PAPER_UNITS
+) -> DivisionDecision:
+    """Gather the exact statistics for one division and let the advisor
+    choose its strategy."""
+    estimates, quotient_names = collect_division_estimates(
+        node.dividend, node.divisor, node.divisor_restricted
+    )
+    return DivisionDecision(estimates, quotient_names, advise(estimates, units))
+
+
 class Planner:
     """Compiles logical plans into physical iterator trees.
 
@@ -171,35 +204,12 @@ class Planner:
         raise ExecutionError(f"unplannable logical node {type(node).__name__}")
 
     def _compile_division(self, node: DivideNode) -> QueryIterator:
-        estimates, quotient_names = collect_division_estimates(
-            node.dividend, node.divisor, node.divisor_restricted
-        )
-        choice = advise(estimates, self.units)
-        eliminate = (
-            estimates.may_contain_duplicates
-            if choice.strategy.startswith(("sort-agg", "hash-agg"))
-            else False
-        )
-        decision = DivisionDecision(
-            strategy=choice.strategy,
-            estimates=estimates,
-            quotient_names=quotient_names,
-            choice=choice,
-            eliminate_duplicates=eliminate,
-        )
+        decision = decide_division(node, self.units)
         self.decisions.append(decision)
         dividend_input = self.compile(node.dividend)
         divisor_input = self.compile(node.divisor)
         self._division_inputs = (dividend_input, divisor_input)
-        return build_division_operator(
-            choice.strategy,
-            dividend_input,
-            divisor_input,
-            expected_divisor=estimates.divisor_tuples,
-            expected_quotient=estimates.estimated_quotient,
-            eliminate_duplicates=eliminate,
-            distinct_sorts=True,
-        )
+        return decision.build_operator(dividend_input, divisor_input)
 
     @property
     def division_inputs(self) -> tuple[QueryIterator, QueryIterator] | None:

@@ -6,8 +6,9 @@ again and again over slowly-changing relations.  Two caches:
 
 * the **plan cache** memoizes the expensive part of planning -- the
   exact statistics pass (:func:`repro.plan.planner.collect_division_estimates`
-  *reads both inputs*, paying metered I/O) and the advisor decision --
-  keyed by the normalized logical-plan key,
+  *reads both inputs*, paying metered I/O) and the advisor decision
+  (a :class:`repro.plan.planner.DivisionDecision`) -- keyed by the
+  normalized logical-plan key,
 * the **result cache** memoizes whole quotients, keyed by the plan key
   *plus the input relations' versions*.
 
@@ -191,19 +192,6 @@ class VersionedCache:
     def clear(self) -> None:
         """Drop every entry (stats survive)."""
         self._entries.clear()
-
-
-@dataclass
-class CachedDecision:
-    """The plan cache's payload: one advisor decision, reusable without
-    re-running the statistics pass.  Mirrors the fields
-    :func:`repro.plan.physical.build_division_operator` needs."""
-
-    strategy: str
-    estimates: object  # DivisionEstimates (kept opaque: no costmodel import)
-    quotient_names: tuple[str, ...]
-    eliminate_duplicates: bool
-    choice: object = None  # full AdvisorChoice, for explain parity
 
 
 @dataclass

@@ -35,7 +35,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Optional
+from typing import Callable, Generator
 
 from repro.errors import (
     QueryCancelledError,

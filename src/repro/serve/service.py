@@ -34,8 +34,8 @@ The service allocates nothing on the single-query path: it is a layer
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Generator, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Generator, Iterable, Sequence
 
 from repro.costmodel.advisor import advise
 from repro.costmodel.units import PAPER_UNITS
@@ -47,22 +47,16 @@ from repro.errors import (
     ServeError,
     ServiceOverloadError,
 )
-from repro.core.partitioned import hash_division_with_overflow
 from repro.executor.iterator import ExecContext
 from repro.executor.scan import StoredRelationScan
 from repro.obs.metrics import MetricsRegistry
 from repro.plan.logical import DivideNode, StoredSourceNode
-from repro.plan.physical import build_division_operator
-from repro.plan.planner import collect_division_estimates
+from repro.plan.physical import overflow_fallback
+from repro.plan.planner import DivisionDecision, collect_division_estimates
 from repro.relalg.algebra import divide_set_semantics
 from repro.relalg.relation import Relation
 from repro.serve.admission import AdmissionController, estimate_grant_bytes
-from repro.serve.cache import (
-    CachedDecision,
-    CachedResult,
-    VersionedCache,
-    plan_key,
-)
+from repro.serve.cache import CachedResult, VersionedCache, plan_key
 from repro.serve.scheduler import (
     CooperativeScheduler,
     Task,
@@ -573,18 +567,8 @@ class QueryService:
                 estimates, quotient_names = collect_division_estimates(
                     node.dividend, node.divisor, node.divisor_restricted
                 )
-                choice = advise(estimates, PAPER_UNITS)
-                eliminate = (
-                    estimates.may_contain_duplicates
-                    if choice.strategy.startswith(("sort-agg", "hash-agg"))
-                    else False
-                )
-                decision = CachedDecision(
-                    strategy=choice.strategy,
-                    estimates=estimates,
-                    quotient_names=quotient_names,
-                    eliminate_duplicates=eliminate,
-                    choice=choice,
+                decision = DivisionDecision(
+                    estimates, quotient_names, advise(estimates, PAPER_UNITS)
                 )
                 if self.plan_cache is not None:
                     self.plan_cache.put(key, versions, decision)
@@ -629,7 +613,7 @@ class QueryService:
             self.locks.release(lock)
 
     def _execute_division(
-        self, rec: RequestOutcome, decision: CachedDecision, stored_dividend,
+        self, rec: RequestOutcome, decision: DivisionDecision, stored_dividend,
         stored_divisor,
     ) -> Generator:
         """Cooperatively step the compiled operator tree (generator).
@@ -641,15 +625,9 @@ class QueryService:
         degrades to the Section 3.4 partitioned driver.
         """
         ctx = self.ctx
-        estimates = decision.estimates
-        root = build_division_operator(
-            decision.strategy,
+        root = decision.build_operator(
             StoredRelationScan(ctx, stored_dividend),
             StoredRelationScan(ctx, stored_divisor),
-            expected_divisor=estimates.divisor_tuples,
-            expected_quotient=estimates.estimated_quotient,
-            eliminate_duplicates=decision.eliminate_duplicates,
-            distinct_sorts=True,
         )
         rows: list = []
         try:
@@ -681,22 +659,14 @@ class QueryService:
             root.close()  # idempotent: safe after the overflow path
 
     def _partitioned_fallback(
-        self, decision: CachedDecision, stored_dividend, stored_divisor
+        self, decision: DivisionDecision, stored_dividend, stored_divisor
     ) -> Generator:
         ctx = self.ctx
-        estimates = decision.estimates
-        strategy = "quotient"
-        if (
-            estimates.divisor_tuples > 0
-            and estimates.divisor_tuples > estimates.estimated_quotient
-        ):
-            strategy = "divisor"
         io_before = ctx.io_cost_ms()
-        relation = hash_division_with_overflow(
+        relation = overflow_fallback(
+            decision.estimates,
             lambda: StoredRelationScan(ctx, stored_dividend),
             lambda: StoredRelationScan(ctx, stored_divisor),
-            strategy=strategy,
-            name="quotient",
         )
         yield ctx.io_cost_ms() - io_before
         return list(relation.rows)

@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.costmodel.advisor import DivisionEstimates
 from repro.errors import ExperimentError
+from repro.plan import physical
 from repro.executor.iterator import ExecContext, run_to_relation
 from repro.executor.scan import RelationSource
 from repro.plan.physical import (
     DIVISION_OPERATOR_STRATEGIES,
     build_division_operator,
+    overflow_fallback,
 )
 from repro.plan.logical import DivideNode, SourceNode
 from repro.plan.planner import compile_plan
@@ -100,3 +103,46 @@ class TestPhysicalPlan:
         plan, *_ = self._plan(ctx, [(1, 0), (2, 1), (1, 0)], [])
         result = plan.execute()
         assert sorted(result.rows) == [(1,), (2,)]
+
+
+class TestOverflowFallback:
+    """The one quotient-vs-divisor partitioning rule for §3.4 fallback."""
+
+    @pytest.mark.parametrize(
+        "divisor_tuples, quotient_tuples, dimension",
+        [(40, 300, "quotient"), (300, 40, "divisor"), (50, 50, "quotient")],
+    )
+    def test_partitions_the_larger_dimension(
+        self, monkeypatch, divisor_tuples, quotient_tuples, dimension
+    ):
+        seen = {}
+
+        def record(dividend_factory, divisor_factory, strategy, name):
+            seen["strategy"] = strategy
+            return Relation.of_ints(("q",), [], name=name)
+
+        monkeypatch.setattr(physical, "hash_division_with_overflow", record)
+        estimates = DivisionEstimates(
+            dividend_tuples=divisor_tuples * quotient_tuples,
+            divisor_tuples=divisor_tuples,
+            quotient_tuples=quotient_tuples,
+        )
+        overflow_fallback(estimates, None, None)
+        assert seen["strategy"] == dimension
+
+    def test_computes_the_exact_quotient(self):
+        ctx = ExecContext(memory_budget=4 * 1024)
+        dividend = Relation.of_ints(
+            ("q", "d"), [(q, d) for q in range(300) for d in range(40)], name="R"
+        )
+        divisor = Relation.of_ints(("d",), [(d,) for d in range(40)], name="S")
+        estimates = DivisionEstimates(dividend_tuples=12000, divisor_tuples=40)
+        result = overflow_fallback(
+            estimates,
+            lambda: RelationSource(ctx, dividend),
+            lambda: RelationSource(ctx, divisor),
+            name="winners",
+        )
+        assert result.name == "winners"
+        assert result.set_equal(algebra.divide_set_semantics(dividend, divisor))
+        assert ctx.memory.bytes_in_use == 0

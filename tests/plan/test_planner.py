@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.costmodel.advisor import DivisionEstimates, choose_strategy
+from repro.costmodel.advisor import AdvisorChoice, DivisionEstimates, choose_strategy
 from repro.errors import ExecutionError
 from repro.plan.logical import (
     DistinctNode,
@@ -12,7 +12,16 @@ from repro.plan.logical import (
     ProjectNode,
     SourceNode,
 )
-from repro.plan.planner import Planner, collect_division_estimates, compile_plan
+from repro.executor.iterator import run_to_relation
+from repro.executor.scan import RelationSource
+from repro.plan.planner import (
+    DivisionDecision,
+    Planner,
+    collect_division_estimates,
+    compile_plan,
+    decide_division,
+)
+from repro.relalg import algebra
 from repro.relalg.predicates import ComparisonPredicate
 from repro.relalg.relation import Relation
 
@@ -72,6 +81,64 @@ class TestCollectEstimates:
             dividend, divisor, divisor_restricted=True
         )
         assert estimates.divisor_restricted
+
+
+def decision(strategy, may_contain_duplicates):
+    estimates = DivisionEstimates(
+        dividend_tuples=4,
+        divisor_tuples=2,
+        may_contain_duplicates=may_contain_duplicates,
+    )
+    return DivisionDecision(
+        estimates, ("q",), AdvisorChoice(strategy, 1.0, "", ())
+    )
+
+
+class TestDivisionDecision:
+    @pytest.mark.parametrize(
+        "strategy",
+        ["sort-agg no join", "sort-agg with join", "hash-agg no join",
+         "hash-agg with join"],
+    )
+    def test_counting_strategies_eliminate_possible_duplicates(self, strategy):
+        assert decision(strategy, may_contain_duplicates=True).eliminate_duplicates
+        assert not decision(strategy, False).eliminate_duplicates
+
+    @pytest.mark.parametrize("strategy", ["naive", "hash-division"])
+    def test_duplicate_immune_strategies_skip_elimination(self, strategy):
+        assert not decision(strategy, may_contain_duplicates=True).eliminate_duplicates
+
+    def test_strategy_is_the_advisor_winner(self):
+        assert decision("hash-division", False).strategy == "hash-division"
+
+    def test_build_operator_divides_duplicate_inputs(self, ctx):
+        dividend = R([(1, 0), (1, 1), (1, 0), (2, 0), (2, 0)])
+        divisor = S([(0,), (1,), (1,)])
+        operator = decision("hash-agg with join", True).build_operator(
+            RelationSource(ctx, dividend), RelationSource(ctx, divisor)
+        )
+        result = run_to_relation(operator)
+        assert result.set_equal(algebra.divide_set_semantics(dividend, divisor))
+        assert result.rows == [(1,)]
+
+
+class TestDecideDivision:
+    def test_matches_the_compiled_plan_decision(self):
+        node = DivideNode(
+            SourceNode(R([(q, d) for q in range(20) for d in range(4)])),
+            SourceNode(S([(d,) for d in range(4)])),
+        )
+        decided = decide_division(node)
+        compiled = compile_plan(node).decisions[0]
+        assert decided.strategy == compiled.strategy
+        assert decided.estimates == compiled.estimates
+        assert decided.quotient_names == ("q",)
+
+    def test_uncovered_divisor_gets_no_no_join_counting(self):
+        node = DivideNode(SourceNode(R([(1, 0), (1, 99)])), SourceNode(S([(0,)])))
+        decided = decide_division(node)
+        assert decided.estimates.divisor_restricted
+        assert "no join" not in decided.strategy
 
 
 class TestPlanner:

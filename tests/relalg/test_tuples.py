@@ -1,13 +1,7 @@
 """Tests for the positional tuple helpers."""
 
 from repro.relalg.schema import Schema
-from repro.relalg.tuples import (
-    composite_key,
-    concat_rows,
-    key_extractor,
-    projector,
-    rows_equal_on,
-)
+from repro.relalg.tuples import projector
 
 
 class TestProjector:
@@ -26,31 +20,3 @@ class TestProjector:
         project = projector(schema, ["a", "b"])
         row = (1, 2)
         assert project(row) is row
-
-    def test_key_extractor_is_projector(self):
-        schema = Schema.of_ints("a", "b")
-        assert key_extractor(schema, ["a"])((5, 6)) == (5,)
-
-
-class TestCompositeKey:
-    def test_major_minor_order(self):
-        schema = Schema.of_ints("q", "d")
-        major = projector(schema, ["q"])
-        minor = projector(schema, ["d"])
-        key = composite_key(major, minor)
-        assert key((1, 2)) == (1, 2)
-        # Sorting by the composite key orders by q first, then d.
-        rows = [(2, 1), (1, 9), (1, 2)]
-        assert sorted(rows, key=key) == [(1, 2), (1, 9), (2, 1)]
-
-
-class TestRowHelpers:
-    def test_concat_rows(self):
-        assert concat_rows((1,), (2, 3)) == (1, 2, 3)
-
-    def test_rows_equal_on_differing_positions(self):
-        left = Schema.of_ints("x", "k")
-        right = Schema.of_ints("k", "y")
-        equal = rows_equal_on(left, right, ["k"])
-        assert equal((0, 7), (7, 9))
-        assert not equal((0, 7), (8, 9))

@@ -52,7 +52,7 @@ class TestGenerator:
         expected = algebra.divide_set_semantics(
             workload.enrollment_dividend(), workload.all_courses_divisor()
         )
-        for algorithm in ("hash", "naive"):
+        for algorithm in ("hash-division", "naive"):
             got = divide(
                 workload.enrollment_dividend(),
                 workload.all_courses_divisor(),
@@ -71,7 +71,7 @@ class TestGenerator:
         expected = algebra.divide_set_semantics(dividend, divisor)
         assert divide(dividend, divisor).set_equal(expected)
         assert divide(
-            dividend, divisor, algorithm="hash-aggregate", with_join=True
+            dividend, divisor, algorithm="hash-agg with join"
         ).set_equal(expected)
 
     def test_determinism_per_seed(self):
