@@ -65,6 +65,17 @@ def _cmd_trace(args: argparse.Namespace) -> None:
     print(f"\nquotient: {trace.quotient}")
 
 
+def _division_inputs(args: argparse.Namespace):
+    """``(dividend, divisor, expected_quotient)`` for ``--workload``."""
+    from repro.workloads.synthetic import make_exact_division
+    from repro.workloads.university import figure2_courses, figure2_transcript
+
+    if args.workload == "figure2":
+        return figure2_transcript(), figure2_courses(), 1
+    dividend, divisor = make_exact_division(args.divisor, args.quotient, seed=args.seed)
+    return dividend, divisor, args.quotient
+
+
 def _traced_run(args: argparse.Namespace):
     """Run one strategy with a recording tracer + I/O event log.
 
@@ -75,17 +86,8 @@ def _traced_run(args: argparse.Namespace):
     from repro.experiments.runner import run_strategy
     from repro.obs import IoEventLog, Tracer
     from repro.storage.catalog import Catalog
-    from repro.workloads.synthetic import make_exact_division
-    from repro.workloads.university import figure2_courses, figure2_transcript
 
-    if args.workload == "figure2":
-        dividend, divisor = figure2_transcript(), figure2_courses()
-        expected_quotient = 1
-    else:
-        dividend, divisor = make_exact_division(
-            args.divisor, args.quotient, seed=args.seed
-        )
-        expected_quotient = args.quotient
+    dividend, divisor, expected_quotient = _division_inputs(args)
     tracer = Tracer()
     log = IoEventLog(capacity=args.capacity)
     ctx = ExecContext(tracer=tracer, io_trace=log)
@@ -205,17 +207,8 @@ def _cmd_table4(args: argparse.Namespace) -> None:
 def _cmd_profile(args: argparse.Namespace) -> None:
     from repro.experiments.runner import run_strategy_on_relations
     from repro.obs import Tracer, profile_to_json, render_prometheus
-    from repro.workloads.synthetic import make_exact_division
-    from repro.workloads.university import figure2_courses, figure2_transcript
 
-    if args.workload == "figure2":
-        dividend, divisor = figure2_transcript(), figure2_courses()
-        expected_quotient = 1
-    else:
-        dividend, divisor = make_exact_division(
-            args.divisor, args.quotient, seed=args.seed
-        )
-        expected_quotient = args.quotient
+    dividend, divisor, expected_quotient = _division_inputs(args)
     tracer = Tracer()
     run = run_strategy_on_relations(
         args.strategy,

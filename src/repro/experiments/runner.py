@@ -140,10 +140,6 @@ def run_strategy(
             )
             metrics.gauge("repro_run_io_model_ms", strategy=strategy).set(io_ms)
             metrics.gauge("repro_run_wall_seconds", strategy=strategy).set(wall)
-            if ctx.io_trace.enabled:
-                from repro.obs.iotrace import absorb_io_event_log
-
-                absorb_io_event_log(metrics, ctx.io_trace, strategy=strategy)
     return DivisionRun(
         strategy=strategy,
         dividend_tuples=stored_dividend.record_count,

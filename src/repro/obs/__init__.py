@@ -6,9 +6,8 @@ trajectory:
 
 * :mod:`repro.obs.span` -- hierarchical span tracer with an
   injectable clock and a zero-cost null default,
-* :mod:`repro.obs.metrics` -- counters/gauges/histograms that absorb
-  the reproduction's native meters (Table 1 CPU counters, buffer-pool
-  statistics, Table 3 I/O statistics),
+* :mod:`repro.obs.metrics` -- counters/gauges/histograms, and the fold
+  of a run's Table 1 CPU counters into them,
 * :mod:`repro.obs.profile` -- per-operator meter attribution and the
   EXPLAIN ANALYZE operator tree,
 * :mod:`repro.obs.export` -- JSON / Prometheus-text / ``BENCH_*.json``
@@ -36,7 +35,6 @@ from repro.obs.iotrace import (
     ConservationReport,
     IoEvent,
     IoEventLog,
-    absorb_io_event_log,
     attribution_by_operator,
     events_from_jsonl,
     events_to_chrome_trace,
@@ -57,15 +55,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsError,
     MetricsRegistry,
-    absorb_btree,
-    absorb_buffer_stats,
-    absorb_context,
     absorb_cpu_counters,
-    absorb_fault_stats,
-    absorb_io_statistics,
-    absorb_network_fault_stats,
-    observe_buffer_pool,
-    unobserve_buffer_pool,
 )
 from repro.obs.profile import (
     OperatorStats,
@@ -103,14 +93,7 @@ __all__ = [
     "QueryProfile",
     "Span",
     "Tracer",
-    "absorb_btree",
-    "absorb_buffer_stats",
-    "absorb_context",
     "absorb_cpu_counters",
-    "absorb_fault_stats",
-    "absorb_io_event_log",
-    "absorb_io_statistics",
-    "absorb_network_fault_stats",
     "attribution_by_operator",
     "bench_payload",
     "build_profile",
@@ -119,7 +102,6 @@ __all__ = [
     "events_to_jsonl",
     "load_bench_json",
     "read_jsonl",
-    "observe_buffer_pool",
     "profile_to_json",
     "provenance_info",
     "registry_to_json",
@@ -128,7 +110,6 @@ __all__ = [
     "replay_cost_ms",
     "replay_counters",
     "top_seek_offenders",
-    "unobserve_buffer_pool",
     "validate_bench_payload",
     "verify_attribution",
     "verify_conservation",

@@ -43,6 +43,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.storage.stats import DeviceCounters, IoStatistics, IoWeights
@@ -221,37 +222,27 @@ class IoEventLog:
 # -- replay / conservation ---------------------------------------------
 
 
+def _tally(events: Iterable[IoEvent], key: Callable[[IoEvent], object]) -> dict:
+    """Group events by ``key`` into :class:`DeviceCounters`."""
+    groups: dict = {}
+    for event in events:
+        group = key(event)
+        counters = groups.get(group)
+        if counters is None:
+            counters = groups[group] = DeviceCounters()
+        counters.record(event.nbytes, event.is_write, not event.sequential)
+    return groups
+
+
 def replay_counters(events: Iterable[IoEvent]) -> dict[str, DeviceCounters]:
     """Rebuild per-device :class:`DeviceCounters` from an event stream.
 
     Integer counters only -- replaying then pricing with
-    :class:`IoWeights` uses exactly the arithmetic of
+    :meth:`IoWeights.cost_ms` uses exactly the arithmetic of
     :meth:`IoStatistics.cost_ms`, so equality is exact, not
     approximate.
     """
-    devices: dict[str, DeviceCounters] = {}
-    for event in events:
-        counters = devices.get(event.device)
-        if counters is None:
-            counters = devices[event.device] = DeviceCounters()
-        if not event.sequential:
-            counters.seeks += 1
-        if event.is_write:
-            counters.writes += 1
-            counters.bytes_written += event.nbytes
-        else:
-            counters.reads += 1
-            counters.bytes_read += event.nbytes
-    return devices
-
-
-def _price(counters: DeviceCounters, weights: IoWeights) -> float:
-    return (
-        counters.seeks * weights.seek_ms
-        + counters.transfers
-        * (weights.latency_ms_per_transfer + weights.cpu_ms_per_transfer)
-        + (counters.bytes_total / 1024) * weights.transfer_ms_per_kib
-    )
+    return _tally(events, attrgetter("device"))
 
 
 def replay_cost_ms(
@@ -260,7 +251,7 @@ def replay_cost_ms(
     """Per-device Table 3 milliseconds recomputed from the event log."""
     weights = weights or IoWeights()
     return {
-        device: _price(counters, weights)
+        device: weights.cost_ms(counters)
         for device, counters in replay_counters(events).items()
     }
 
@@ -312,21 +303,14 @@ def verify_conservation(
             f"(capacity {log.capacity}); raise the capacity to validate"
         )
     replayed = replay_counters(log.events())
-    weights = io_stats.weights
-    devices = set(replayed) | set(io_stats.devices)
-    for device in sorted(devices):
+    reported = io_stats.devices
+    for device in sorted(set(replayed) | set(reported)):
         got = replayed.get(device, DeviceCounters())
-        want = io_stats.devices.get(device, DeviceCounters())
-        replayed_ms = _price(got, weights)
-        reported_ms = io_stats.cost_ms(device) if device in io_stats.devices else 0.0
+        want = reported.get(device, DeviceCounters())
+        replayed_ms = io_stats.weights.cost_ms(got)
+        reported_ms = io_stats.cost_ms(device)
         report.per_device[device] = (replayed_ms, reported_ms)
-        if (
-            got.reads != want.reads
-            or got.writes != want.writes
-            or got.seeks != want.seeks
-            or got.bytes_read != want.bytes_read
-            or got.bytes_written != want.bytes_written
-        ):
+        if got != want:
             report.ok = False
             report.mismatches.append(
                 f"device {device!r}: replayed counters {got} != reported {want}"
@@ -350,20 +334,7 @@ def attribution_by_operator(
 
     Events recorded outside any operator are grouped under ``None``.
     """
-    operators: dict[Optional[str], DeviceCounters] = {}
-    for event in events:
-        counters = operators.get(event.operator)
-        if counters is None:
-            counters = operators[event.operator] = DeviceCounters()
-        if not event.sequential:
-            counters.seeks += 1
-        if event.is_write:
-            counters.writes += 1
-            counters.bytes_written += event.nbytes
-        else:
-            counters.reads += 1
-            counters.bytes_read += event.nbytes
-    return operators
+    return _tally(events, attrgetter("operator"))
 
 
 @dataclass
@@ -372,8 +343,9 @@ class AttributionReport:
 
     Attributes:
         ok: True when, for every operator class, the event log and the
-            profile agree on reads/writes/seeks, and no event outside
-            an operator was recorded during the profiled window.
+            profile agree on every counter (reads, writes, seeks and
+            bytes), and no event outside an operator was recorded
+            during the profiled window.
         per_operator: ``op_class -> (event_counters, profile_counters)``.
         mismatches: Human-readable failure descriptions.
     """
@@ -408,12 +380,7 @@ def verify_attribution(log: IoEventLog, profile) -> AttributionReport:
     from_events = attribution_by_operator(log.events())
     from_profile: dict[str, DeviceCounters] = {}
     for stats in profile.all_operators():
-        agg = from_profile.setdefault(stats.op_class, DeviceCounters())
-        agg.reads += stats.io.reads
-        agg.writes += stats.io.writes
-        agg.seeks += stats.io.seeks
-        agg.bytes_read += stats.io.bytes_read
-        agg.bytes_written += stats.io.bytes_written
+        from_profile.setdefault(stats.op_class, DeviceCounters()).merge(stats.io)
     unattributed = from_events.pop(None, None)
     if unattributed is not None and unattributed.transfers:
         report.ok = False
@@ -424,16 +391,10 @@ def verify_attribution(log: IoEventLog, profile) -> AttributionReport:
         got = from_events.get(op_class, DeviceCounters())
         want = from_profile.get(op_class, DeviceCounters())
         report.per_operator[op_class] = (got, want)
-        if (
-            got.reads != want.reads
-            or got.writes != want.writes
-            or got.seeks != want.seeks
-        ):
+        if got != want:
             report.ok = False
             report.mismatches.append(
-                f"operator {op_class}: events saw "
-                f"r={got.reads} w={got.writes} s={got.seeks}, profile saw "
-                f"r={want.reads} w={want.writes} s={want.seeks}"
+                f"operator {op_class}: events saw {got}, profile saw {want}"
             )
     return report
 
@@ -507,7 +468,7 @@ def render_summary(
         lines.append(
             f"{device:8} {counters.reads:>7} {counters.writes:>7} "
             f"{counters.seeks:>7} {counters.bytes_total / 1024:>9.1f} "
-            f"{_price(counters, weights):>10.3f}"
+            f"{weights.cost_ms(counters):>10.3f}"
         )
     offenders = top_seek_offenders(log.events(), n=top_n, weights=weights)
     if offenders:
@@ -649,41 +610,3 @@ def write_jsonl(path, events: Iterable[IoEvent]) -> None:
 
     Path(path).write_text(events_to_jsonl(events))
 
-
-# -- metrics absorption ------------------------------------------------
-
-#: Seek-distance histogram buckets, in pages.
-SEEK_DISTANCE_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256, 1024)
-
-
-def absorb_io_event_log(registry, log: IoEventLog, **labels) -> None:
-    """Fold the event log into the metrics registry.
-
-    Emits the ``repro_io_event_*`` families: per-device/kind/access
-    event counts, per-device byte and model-cost counters, the
-    ring-buffer drop counter, and a per-device seek-distance histogram.
-    """
-    totals: dict[tuple[str, str, str], int] = {}
-    for event in log.events():
-        access = "sequential" if event.sequential else "seek"
-        key = (event.device, event.kind, access)
-        totals[key] = totals.get(key, 0) + 1
-        device_labels = dict(labels, device=event.device)
-        registry.counter("repro_io_event_bytes_total", **device_labels).inc(
-            event.nbytes
-        )
-        registry.counter("repro_io_event_cost_ms_total", **device_labels).inc(
-            event.cost_ms
-        )
-        if not event.sequential:
-            registry.histogram(
-                "repro_io_seek_distance_pages",
-                boundaries=SEEK_DISTANCE_BUCKETS,
-                **device_labels,
-            ).observe(event.seek_distance)
-    for (device, kind, access), count in sorted(totals.items()):
-        registry.counter(
-            "repro_io_events_total",
-            **dict(labels, device=device, kind=kind, access=access),
-        ).inc(count)
-    registry.counter("repro_io_events_dropped_total", **labels).inc(log.dropped)

@@ -5,12 +5,9 @@ Metric naming convention (see DESIGN.md): Prometheus style --
 (``_ms``, ``_bytes``, ``_ratio``) for gauges and histograms; labels are
 lowercase ``snake_case``.
 
-The registry also knows how to *absorb* the reproduction's existing
-meters -- :class:`repro.metering.CpuCounters` (Table 1 operation
-counts), :class:`repro.storage.buffer.BufferPoolStats`, and
-:class:`repro.storage.stats.IoStatistics` (Table 3 device counters) --
-so one call turns a run's raw accumulators into a uniform, exportable
-metric set.
+:func:`absorb_cpu_counters` folds a run's Table 1 operation counts
+(:class:`repro.metering.CpuCounters`) into the registry; ``repro
+profile --format prom`` prints the result.
 """
 
 from __future__ import annotations
@@ -217,182 +214,3 @@ def absorb_cpu_counters(registry: MetricsRegistry, counters, **labels) -> None:
     registry.counter("repro_cpu_hashes_total", **labels).inc(counters.hashes)
     registry.counter("repro_cpu_moves_total", **labels).inc(counters.moves)
     registry.counter("repro_cpu_bit_ops_total", **labels).inc(counters.bit_ops)
-
-
-def absorb_buffer_stats(registry: MetricsRegistry, stats, **labels) -> None:
-    """Fold :class:`~repro.storage.buffer.BufferPoolStats` into metrics.
-
-    Counters for fixes/hits/misses/evictions/writebacks plus the
-    ``repro_buffer_hit_ratio`` gauge, then one ``device``-labelled
-    sample per device (``repro_buffer_device_*``) from the pool's
-    per-device breakdown -- so a buffer-starved ``runs`` device is
-    distinguishable from a well-cached ``data`` device.
-    """
-    registry.counter("repro_buffer_fixes_total", **labels).inc(stats.fixes)
-    registry.counter("repro_buffer_hits_total", **labels).inc(stats.hits)
-    registry.counter("repro_buffer_misses_total", **labels).inc(stats.misses)
-    registry.counter("repro_buffer_evictions_total", **labels).inc(stats.evictions)
-    registry.counter("repro_buffer_writebacks_total", **labels).inc(stats.writebacks)
-    registry.gauge("repro_buffer_hit_ratio", **labels).set(stats.hit_ratio)
-    for device, c in sorted(stats.by_device.items()):
-        device_labels = dict(labels, device=device)
-        registry.counter("repro_buffer_device_fixes_total", **device_labels).inc(
-            c.fixes
-        )
-        registry.counter("repro_buffer_device_hits_total", **device_labels).inc(c.hits)
-        registry.counter("repro_buffer_device_misses_total", **device_labels).inc(
-            c.misses
-        )
-        registry.counter("repro_buffer_device_evictions_total", **device_labels).inc(
-            c.evictions
-        )
-        registry.counter("repro_buffer_device_writebacks_total", **device_labels).inc(
-            c.writebacks
-        )
-        registry.gauge("repro_buffer_device_hit_ratio", **device_labels).set(
-            c.hit_ratio
-        )
-
-
-def absorb_btree(registry: MetricsRegistry, tree, **labels) -> None:
-    """Fold a :class:`~repro.storage.btree.BPlusTree`'s counters in.
-
-    Emits the ``repro_btree_*`` families: structural-maintenance
-    counters (splits), access counters (searches, scans, leaves
-    visited), and the ``repro_btree_height`` / ``repro_btree_entries``
-    gauges.
-    """
-    stats = tree.stats
-    registry.counter("repro_btree_searches_total", **labels).inc(stats.searches)
-    registry.counter("repro_btree_inserts_total", **labels).inc(stats.inserts)
-    registry.counter("repro_btree_deletes_total", **labels).inc(stats.deletes)
-    registry.counter("repro_btree_leaf_splits_total", **labels).inc(stats.leaf_splits)
-    registry.counter("repro_btree_interior_splits_total", **labels).inc(
-        stats.interior_splits
-    )
-    registry.counter("repro_btree_leaf_scans_total", **labels).inc(stats.leaf_scans)
-    registry.counter("repro_btree_leaves_visited_total", **labels).inc(
-        stats.leaves_visited
-    )
-    registry.gauge("repro_btree_height", **labels).set(tree.height)
-    registry.gauge("repro_btree_entries", **labels).set(len(tree))
-
-
-def observe_buffer_pool(pool, registry: MetricsRegistry, **labels):
-    """Attach a live observer to ``pool`` streaming events into metrics.
-
-    Unlike :func:`absorb_buffer_stats` (a point-in-time fold), the
-    observer counts ``repro_buffer_events_total{event,device}`` as the
-    pool runs, so buffer churn is visible *during* execution.  Returns
-    the observer callable (also installed as ``pool.observer``); pass
-    it to :func:`unobserve_buffer_pool` or set ``pool.observer = None``
-    to detach.
-    """
-
-    def observer(event: str, device: str, page_no: int) -> None:
-        registry.counter(
-            "repro_buffer_events_total", event=event, device=device, **labels
-        ).inc()
-
-    pool.observer = observer
-    return observer
-
-
-def unobserve_buffer_pool(pool, observer=None) -> None:
-    """Detach a live buffer-pool observer (no-op if not attached)."""
-    if observer is None or pool.observer is observer:
-        pool.observer = None
-
-
-def absorb_io_statistics(registry: MetricsRegistry, io_stats, **labels) -> None:
-    """Fold per-device :class:`~repro.storage.stats.IoStatistics` in.
-
-    One labelled sample per device (``device=data|temp|runs``) for
-    reads/writes/seeks/bytes, plus the Table 3-costed
-    ``repro_io_cost_ms`` gauge per device.
-    """
-    for device, c in io_stats.devices.items():
-        device_labels = dict(labels, device=device)
-        registry.counter("repro_io_reads_total", **device_labels).inc(c.reads)
-        registry.counter("repro_io_writes_total", **device_labels).inc(c.writes)
-        registry.counter("repro_io_seeks_total", **device_labels).inc(c.seeks)
-        registry.counter("repro_io_bytes_read_total", **device_labels).inc(c.bytes_read)
-        registry.counter("repro_io_bytes_written_total", **device_labels).inc(
-            c.bytes_written
-        )
-        registry.gauge("repro_io_cost_ms", **device_labels).set(
-            io_stats.cost_ms(device)
-        )
-
-
-def absorb_fault_stats(registry: MetricsRegistry, ctx, **labels) -> None:
-    """Fold a context's fault-injection and defense meters into metrics.
-
-    One ``device``-labelled sample per device for the injected faults
-    (``repro_disk_faults_injected_total`` and its per-kind breakdown)
-    and the defenses that answered them: ``repro_disk_retries_total``,
-    ``repro_checksum_failures_total``, ``repro_disk_backoff_ms_total``,
-    and ``repro_disk_fault_latency_ms_total``.  When an injector is
-    attached, its per-kind fire counts are emitted as
-    ``repro_fault_fires_total{kind=...}``.  All-zero when injection is
-    disabled -- the families still exist, so dashboards need no special
-    case for fault-free runs.
-    """
-    for device, stats in sorted(ctx.fault_stats.items()):
-        device_labels = dict(labels, device=device)
-        registry.counter("repro_disk_faults_injected_total", **device_labels).inc(
-            stats.faults_injected
-        )
-        registry.counter("repro_disk_transient_faults_total", **device_labels).inc(
-            stats.transient_faults
-        )
-        registry.counter("repro_disk_permanent_faults_total", **device_labels).inc(
-            stats.permanent_faults
-        )
-        registry.counter("repro_disk_corruptions_total", **device_labels).inc(
-            stats.corruptions
-        )
-        registry.counter("repro_disk_torn_writes_total", **device_labels).inc(
-            stats.torn_writes
-        )
-        registry.counter("repro_checksum_failures_total", **device_labels).inc(
-            stats.checksum_failures
-        )
-        registry.counter("repro_disk_retries_total", **device_labels).inc(stats.retries)
-        registry.counter("repro_disk_backoff_ms_total", **device_labels).inc(
-            stats.backoff_ms
-        )
-        registry.counter("repro_disk_fault_latency_ms_total", **device_labels).inc(
-            stats.latency_ms
-        )
-    injector = getattr(ctx, "fault_injector", None)
-    if injector is not None:
-        for kind, count in sorted(injector.counters.by_kind.items()):
-            registry.counter("repro_fault_fires_total", kind=kind, **labels).inc(count)
-
-
-def absorb_network_fault_stats(registry: MetricsRegistry, network, **labels) -> None:
-    """Fold an :class:`~repro.parallel.network.Interconnect`'s fault
-    counters in: ``repro_network_drops_total``,
-    ``repro_network_retransmits_total``,
-    ``repro_network_duplicates_total``.
-    """
-    counters = network.fault_counters
-    registry.counter("repro_network_drops_total", **labels).inc(counters.drops)
-    registry.counter("repro_network_retransmits_total", **labels).inc(
-        counters.retransmits
-    )
-    registry.counter("repro_network_duplicates_total", **labels).inc(
-        counters.duplicates
-    )
-
-
-def absorb_context(registry: MetricsRegistry, ctx, **labels) -> None:
-    """Absorb every meter of an :class:`~repro.executor.iterator.ExecContext`.
-
-    Includes the fault/defense meters (all-zero for fault-free runs).
-    """
-    absorb_cpu_counters(registry, ctx.cpu, **labels)
-    absorb_buffer_stats(registry, ctx.pool.stats, **labels)
-    absorb_io_statistics(registry, ctx.io_stats, **labels)
-    absorb_fault_stats(registry, ctx, **labels)

@@ -201,29 +201,15 @@ class OperatorAccounting:
         stats = self._stack[-1]
         stats.wall_s += now.at_s - then.at_s
         stats.cpu.merge(now.cpu.delta_since(then.cpu))
-        w = now.weights
         for device, current in now.io.items():
-            previous = then.io.get(device, DeviceCounters())
-            reads = current.reads - previous.reads
-            writes = current.writes - previous.writes
-            seeks = current.seeks - previous.seeks
-            bytes_read = current.bytes_read - previous.bytes_read
-            bytes_written = current.bytes_written - previous.bytes_written
-            if not (reads or writes or seeks or bytes_read or bytes_written):
+            delta = current.delta_since(then.io.get(device, DeviceCounters()))
+            if delta == DeviceCounters():
                 continue
-            stats.io.reads += reads
-            stats.io.writes += writes
-            stats.io.seeks += seeks
-            stats.io.bytes_read += bytes_read
-            stats.io.bytes_written += bytes_written
+            stats.io.merge(delta)
             stats.io_by_device[device] = (
-                stats.io_by_device.get(device, 0) + reads + writes
+                stats.io_by_device.get(device, 0) + delta.transfers
             )
-            stats.io_ms += (
-                seeks * w.seek_ms
-                + (reads + writes) * (w.latency_ms_per_transfer + w.cpu_ms_per_transfer)
-                + ((bytes_read + bytes_written) / 1024) * w.transfer_ms_per_kib
-            )
+            stats.io_ms += now.weights.cost_ms(delta)
         for key, index in (
             ("fixes", 0), ("misses", 1), ("evictions", 2), ("writebacks", 3),
         ):

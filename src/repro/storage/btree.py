@@ -35,9 +35,8 @@ DEFAULT_ORDER = 64
 class BTreeStats:
     """Structural-maintenance and access counters for one tree.
 
-    Surfaced through the ``repro_btree_*`` metrics families (see
-    :func:`repro.obs.metrics.absorb_btree`), so index maintenance cost
-    is visible in the same place as buffer and I/O activity.
+    Plain integers read from ``tree.stats``; no metric family exports
+    them.
 
     Attributes:
         searches: Point lookups performed.
@@ -97,9 +96,7 @@ class BPlusTree:
             raise BTreeError(f"order must be >= 3, got {order}")
         self.order = order
         self.cpu = cpu
-        #: Structural/access counters (:class:`BTreeStats`); absorbed
-        #: into ``repro_btree_*`` metrics by
-        #: :func:`repro.obs.metrics.absorb_btree`.
+        #: Structural/access counters (:class:`BTreeStats`).
         self.stats = BTreeStats()
         self._root: _Node = _Leaf()
         self._size = 0

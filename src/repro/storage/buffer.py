@@ -52,41 +52,13 @@ class _VirtualDevice:
 
 
 @dataclass
-class DeviceBufferCounters:
-    """Buffer-pool activity against one device."""
-
-    fixes: int = 0
-    misses: int = 0
-    evictions: int = 0
-    writebacks: int = 0
-
-    @property
-    def hits(self) -> int:
-        """Fixes served from the pool without physical I/O."""
-        return self.fixes - self.misses
-
-    @property
-    def hit_ratio(self) -> float:
-        """Fraction of fixes served without physical I/O."""
-        return 0.0 if self.fixes == 0 else 1.0 - self.misses / self.fixes
-
-
-@dataclass
 class BufferPoolStats:
-    """Logical access statistics (hits/misses), for reporting only.
-
-    Global counters plus a per-device breakdown (``by_device``), so the
-    ``repro_buffer_*`` metrics can say not just *that* the pool missed
-    but *against which device* -- the paper's Table 4 analysis hinges
-    on whether the dividend (``data``) or the sort runs (``runs``)
-    caused the physical I/O.
-    """
+    """Logical access statistics (hits/misses), for reporting only."""
 
     fixes: int = 0
     misses: int = 0
     evictions: int = 0
     writebacks: int = 0
-    by_device: dict = field(default_factory=dict)
 
     @property
     def hits(self) -> int:
@@ -97,13 +69,6 @@ class BufferPoolStats:
     def hit_ratio(self) -> float:
         """Fraction of fixes served without physical I/O."""
         return 0.0 if self.fixes == 0 else 1.0 - self.misses / self.fixes
-
-    def device(self, name: str) -> DeviceBufferCounters:
-        """Counters for one device (created on first use)."""
-        counters = self.by_device.get(name)
-        if counters is None:
-            counters = self.by_device[name] = DeviceBufferCounters()
-        return counters
 
 
 class BufferPool:
@@ -116,44 +81,11 @@ class BufferPool:
     def __init__(self, config: StorageConfig | None = None) -> None:
         self.config = config or StorageConfig()
         self.stats = BufferPoolStats()
-        #: Optional observer hook ``callable(event, device, page_no)``
-        #: invoked on ``"fix"`` / ``"miss"`` / ``"unfix"`` /
-        #: ``"eviction"`` / ``"writeback"`` events.  ``None`` (the
-        #: default) costs one comparison per event site; see
-        #: :func:`repro.obs.metrics.observe_buffer_pool` for a wiring
-        #: that streams events into a metrics registry.
-        self.observer = None
         self._disks: dict[str, SimulatedDisk] = {}
         self._virtuals: dict[str, _VirtualDevice] = {}
         self._frames: dict[PageKey, _Frame] = {}
         self._lru: OrderedDict[PageKey, None] = OrderedDict()
         self._bytes_in_use = 0
-
-    # -- accounting helpers --------------------------------------------
-
-    def _count_fix(self, device: str, page_no: int) -> None:
-        self.stats.fixes += 1
-        self.stats.device(device).fixes += 1
-        if self.observer is not None:
-            self.observer("fix", device, page_no)
-
-    def _count_miss(self, device: str, page_no: int) -> None:
-        self.stats.misses += 1
-        self.stats.device(device).misses += 1
-        if self.observer is not None:
-            self.observer("miss", device, page_no)
-
-    def _count_eviction(self, device: str, page_no: int) -> None:
-        self.stats.evictions += 1
-        self.stats.device(device).evictions += 1
-        if self.observer is not None:
-            self.observer("eviction", device, page_no)
-
-    def _count_writeback(self, device: str, page_no: int) -> None:
-        self.stats.writebacks += 1
-        self.stats.device(device).writebacks += 1
-        if self.observer is not None:
-            self.observer("writeback", device, page_no)
 
     # -- device registry -----------------------------------------------
 
@@ -216,7 +148,7 @@ class BufferPool:
             frame = self._install(device, page_no, bytearray(page_size))
             frame.dirty = True
         frame.fix_count = 1
-        self._count_fix(device, page_no)
+        self.stats.fixes += 1
         return page_no, memoryview(frame.data)
 
     def fix_new(self, device: str, page_no: int) -> memoryview:
@@ -231,7 +163,7 @@ class BufferPool:
             return self.fix(device, page_no)
         if device in self._virtuals:
             raise StorageError("fix_new is for disk devices; virtual pages use new_page")
-        self._count_fix(device, page_no)
+        self.stats.fixes += 1
         frame = self._install(device, page_no, bytearray(self.page_size_of(device)))
         frame.fix_count = 1
         return memoryview(frame.data)
@@ -243,14 +175,14 @@ class BufferPool:
         exactly once per successful fix.
         """
         key = (device, page_no)
-        self._count_fix(device, page_no)
+        self.stats.fixes += 1
         frame = self._frames.get(key)
         if frame is not None:
             frame.fix_count += 1
             if key in self._lru:
                 del self._lru[key]
             return memoryview(frame.data)
-        self._count_miss(device, page_no)
+        self.stats.misses += 1
         if device in self._virtuals:
             vdev = self._virtuals[device]
             if page_no in vdev.live_pages:
@@ -293,8 +225,6 @@ class BufferPool:
         if dirty:
             frame.dirty = True
         frame.fix_count -= 1
-        if self.observer is not None:
-            self.observer("unfix", device, page_no)
         if frame.fix_count > 0:
             return
         if discard:
@@ -314,7 +244,7 @@ class BufferPool:
             if dev == device and frame.dirty:
                 disk.write_page(page_no, frame.data)
                 frame.dirty = False
-                self._count_writeback(device, page_no)
+                self.stats.writebacks += 1
 
     def forget_page(self, device: str, page_no: int) -> None:
         """Drop one unfixed frame without write-back (dead data).
@@ -360,7 +290,7 @@ class BufferPool:
                 self._virtuals[key[0]].live_pages.discard(key[1])
             elif frame.dirty and not discard_dirty:
                 self._disks[device].write_page(key[1], frame.data)
-                self._count_writeback(device, key[1])
+                self.stats.writebacks += 1
 
     # -- internals ------------------------------------------------------------
 
@@ -391,7 +321,7 @@ class BufferPool:
         key, _ = self._lru.popitem(last=False)
         frame = self._frames[key]
         self._drop(key, frame, write_back=True)
-        self._count_eviction(key[0], key[1])
+        self.stats.evictions += 1
 
     def _drop(self, key: PageKey, frame: _Frame, write_back: bool) -> None:
         device, page_no = key
@@ -399,7 +329,7 @@ class BufferPool:
             self._virtuals[device].live_pages.discard(page_no)
         elif write_back and frame.dirty:
             self._disks[device].write_page(page_no, frame.data)
-            self._count_writeback(device, page_no)
+            self.stats.writebacks += 1
         self._frames.pop(key, None)
         self._lru.pop(key, None)
         self._bytes_in_use -= len(frame.data)

@@ -12,11 +12,13 @@ CPU cost per transfer      2 ms
 ========================  ======
 
 The simulated disk feeds :class:`IoStatistics` one event per physical
-page transfer; :meth:`IoStatistics.cost_ms` applies the weights.  A
-*seek* is charged whenever a transfer is not physically sequential with
-the previous transfer on the same device, which is how read-ahead of
-"physically clustered or contiguous files" (Section 3.3) earns its
-advantage in this model.
+page transfer.  :class:`DeviceCounters` is the one counter format every
+meter view (aggregate statistics, event-log replay, per-operator
+attribution) accumulates in, and :meth:`IoWeights.cost_ms` is the one
+place it is priced.  A *seek* is charged whenever a transfer is not
+physically sequential with the previous transfer on the same device,
+which is how read-ahead of "physically clustered or contiguous files"
+(Section 3.3) earns its advantage in this model.
 """
 
 from __future__ import annotations
@@ -46,6 +48,15 @@ class IoWeights:
             + self.latency_ms_per_transfer
             + self.cpu_ms_per_transfer
             + (nbytes / 1024) * self.transfer_ms_per_kib
+        )
+
+    def cost_ms(self, counters: "DeviceCounters") -> float:
+        """Table 3 cost of a set of counters (the aggregate form)."""
+        return (
+            counters.seeks * self.seek_ms
+            + counters.transfers
+            * (self.latency_ms_per_transfer + self.cpu_ms_per_transfer)
+            + (counters.bytes_total / 1024) * self.transfer_ms_per_kib
         )
 
 
@@ -143,6 +154,41 @@ class DeviceCounters:
         """Total bytes moved in either direction."""
         return self.bytes_read + self.bytes_written
 
+    def record(self, nbytes: int, is_write: bool, seek: bool) -> None:
+        """Count one physical transfer of ``nbytes``."""
+        if seek:
+            self.seeks += 1
+        if is_write:
+            self.writes += 1
+            self.bytes_written += nbytes
+        else:
+            self.reads += 1
+            self.bytes_read += nbytes
+
+    def merge(self, other: "DeviceCounters") -> None:
+        """Accumulate another counter set into this one (in place)."""
+        self.reads += other.reads
+        self.writes += other.writes
+        self.seeks += other.seeks
+        self.bytes_read += other.bytes_read
+        self.bytes_written += other.bytes_written
+
+    def snapshot(self) -> "DeviceCounters":
+        """Return an independent copy of the current counts."""
+        return DeviceCounters(
+            self.reads, self.writes, self.seeks, self.bytes_read, self.bytes_written
+        )
+
+    def delta_since(self, earlier: "DeviceCounters") -> "DeviceCounters":
+        """Return the transfers counted since ``earlier`` was taken."""
+        return DeviceCounters(
+            self.reads - earlier.reads,
+            self.writes - earlier.writes,
+            self.seeks - earlier.seeks,
+            self.bytes_read - earlier.bytes_read,
+            self.bytes_written - earlier.bytes_written,
+        )
+
 
 class IoStatistics:
     """Per-device I/O accounting with Table 3 costing.
@@ -188,18 +234,10 @@ class IoStatistics:
             page_bytes: Size of the transfer in bytes.
             is_write: True for a write, False for a read.
         """
-        counters = self.counters(device)
         expected = self._next_sequential_page.get(device)
         sequential = is_sequential(expected, page_no)
-        if not sequential:
-            counters.seeks += 1
         self._next_sequential_page[device] = page_no + 1
-        if is_write:
-            counters.writes += 1
-            counters.bytes_written += page_bytes
-        else:
-            counters.reads += 1
-            counters.bytes_read += page_bytes
+        self.counters(device).record(page_bytes, is_write, not sequential)
         trace = self.trace
         if trace.enabled:
             trace.record(
@@ -218,11 +256,7 @@ class IoStatistics:
         """Counters summed over every device."""
         total = DeviceCounters()
         for counters in self._devices.values():
-            total.reads += counters.reads
-            total.writes += counters.writes
-            total.seeks += counters.seeks
-            total.bytes_read += counters.bytes_read
-            total.bytes_written += counters.bytes_written
+            total.merge(counters)
         return total
 
     def cost_ms(self, device: str | None = None) -> float:
@@ -230,38 +264,26 @@ class IoStatistics:
 
         Args:
             device: Restrict to one device; ``None`` sums all devices.
+                A device with no transfers costs 0.0 and is not
+                registered by the query.
         """
-        counters = self.totals() if device is None else self.counters(device)
-        w = self.weights
-        return (
-            counters.seeks * w.seek_ms
-            + counters.transfers * (w.latency_ms_per_transfer + w.cpu_ms_per_transfer)
-            + (counters.bytes_total / 1024) * w.transfer_ms_per_kib
-        )
+        counters = self.totals() if device is None else self._devices.get(device)
+        return 0.0 if counters is None else self.weights.cost_ms(counters)
 
     def snapshot(self) -> dict[str, DeviceCounters]:
         """Deep copy of current counters (for before/after deltas)."""
-        return {
-            name: DeviceCounters(
-                c.reads, c.writes, c.seeks, c.bytes_read, c.bytes_written
-            )
-            for name, c in self._devices.items()
-        }
+        return {name: c.snapshot() for name, c in self._devices.items()}
 
     def cost_since(self, snapshot: dict[str, DeviceCounters]) -> float:
-        """Model I/O ms accumulated since ``snapshot`` was taken."""
-        w = self.weights
+        """Model I/O ms accumulated since ``snapshot`` was taken.
+
+        Each device's delta is priced separately and the results are
+        summed, device by device.
+        """
+        price = self.weights.cost_ms
         total = 0.0
         for name, now in self._devices.items():
-            then = snapshot.get(name, DeviceCounters())
-            seeks = now.seeks - then.seeks
-            transfers = now.transfers - then.transfers
-            bytes_moved = now.bytes_total - then.bytes_total
-            total += (
-                seeks * w.seek_ms
-                + transfers * (w.latency_ms_per_transfer + w.cpu_ms_per_transfer)
-                + (bytes_moved / 1024) * w.transfer_ms_per_kib
-            )
+            total += price(now.delta_since(snapshot.get(name, DeviceCounters())))
         return total
 
     def reset(self) -> None:

@@ -2,12 +2,12 @@
 
 Covers the ring buffer itself, the file/operator attribution, the
 conservation and attribution validators, the exporters (JSONL round
-trip, Chrome trace_event structure), the seek-offender summary, the
-metrics absorber, and -- critically -- the zero-cost claim of the
-disabled path.
+trip, Chrome trace_event structure), the seek-offender summary, and
+-- critically -- the zero-cost claim of the disabled path.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -15,7 +15,6 @@ from repro.executor.iterator import ExecContext
 from repro.obs.iotrace import (
     IoEvent,
     IoEventLog,
-    absorb_io_event_log,
     attribution_by_operator,
     events_from_jsonl,
     events_to_chrome_trace,
@@ -30,7 +29,6 @@ from repro.obs.iotrace import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.span import Tracer
 from repro.storage.catalog import Catalog
 from repro.storage.heapfile import HeapFile
@@ -202,6 +200,14 @@ class TestConservation:
         assert not report.ok
         assert report.mismatches
 
+    def test_byte_mismatch_fails_conservation(self):
+        ctx, log = traced_ctx()
+        drive_heapfile(ctx)
+        log._events[0] = replace(log._events[0], nbytes=log._events[0].nbytes - 1)
+        report = verify_conservation(log, ctx.io_stats)
+        assert not report.ok
+        assert "bytes_" in str(report)
+
     def test_missing_device_in_log_fails(self):
         ctx, log = traced_ctx()
         drive_heapfile(ctx)
@@ -301,6 +307,26 @@ class TestStrategyRunConservation:
         )
         report = verify_attribution(log, run.profile)
         assert not report.ok
+
+    def test_attribution_detects_byte_mismatch(self):
+        from repro.experiments.runner import run_strategy_on_relations
+
+        log = IoEventLog()
+        dividend, divisor = make_exact_division(25, 25, seed=0)
+        run = run_strategy_on_relations(
+            "hash-division",
+            dividend,
+            divisor,
+            expected_quotient=25,
+            tracer=Tracer(),
+            io_trace=log,
+        )
+        assert verify_attribution(log, run.profile).ok
+        # Same reads, writes and seeks; only the byte count differs.
+        log._events[0] = replace(log._events[0], nbytes=log._events[0].nbytes + 1)
+        report = verify_attribution(log, run.profile)
+        assert not report.ok
+        assert "bytes_" in str(report)
 
     def test_attribution_by_operator_groups(self):
         events = [
@@ -446,50 +472,3 @@ class TestSummaries:
         drive_heapfile(ctx)
         text = render_summary(log)
         assert "conservation" not in text
-
-
-class TestAbsorbIoEventLog:
-    def test_families_and_values(self):
-        ctx, log = traced_ctx()
-        drive_heapfile(ctx)
-        registry = MetricsRegistry()
-        absorb_io_event_log(registry, log)
-        names = registry.names()
-        assert "repro_io_events_total" in names
-        assert "repro_io_event_bytes_total" in names
-        assert "repro_io_event_cost_ms_total" in names
-        assert "repro_io_events_dropped_total" in names
-        assert "repro_io_seek_distance_pages" in names
-        total_events = sum(
-            sample.metric.value
-            for sample in registry.collect()
-            if sample.name == "repro_io_events_total"
-        )
-        assert total_events == len(log)
-        assert registry.value(
-            "repro_io_event_bytes_total", device="data"
-        ) == ctx.io_stats.counters("data").bytes_total
-        cost = registry.value("repro_io_event_cost_ms_total", device="data")
-        assert cost == pytest.approx(ctx.io_stats.cost_ms("data"))
-
-    def test_seek_histogram_counts_only_seeks(self):
-        ctx, log = traced_ctx()
-        drive_heapfile(ctx)
-        registry = MetricsRegistry()
-        absorb_io_event_log(registry, log)
-        seeks = ctx.io_stats.counters("data").seeks
-        hist = registry.histogram(
-            "repro_io_seek_distance_pages",
-            boundaries=(1, 2, 4, 8, 16, 32, 64, 128, 256, 1024),
-            device="data",
-        )
-        assert hist.count == seeks
-
-    def test_dropped_counter(self):
-        log = IoEventLog(capacity=2)
-        stats = IoStatistics(trace=log)
-        for page in range(5):
-            stats.record_transfer("data", page * 3, 256, True)
-        registry = MetricsRegistry()
-        absorb_io_event_log(registry, log)
-        assert registry.value("repro_io_events_dropped_total") == 3

@@ -8,12 +8,20 @@ integer counters and prices them with the aggregate formula, so the
 assertion is ``==``, never ``approx``.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.executor.iterator import ExecContext
 from repro.executor.scan import RelationSource
 from repro.executor.sort import ExternalSort
-from repro.obs.iotrace import IoEventLog, replay_cost_ms, verify_conservation
+from repro.obs.iotrace import (
+    IoEventLog,
+    replay_cost_ms,
+    verify_attribution,
+    verify_conservation,
+)
+from repro.obs.span import Tracer
+from repro.plan.physical import STRATEGIES
 from repro.relalg.relation import Relation
 from repro.storage.config import KIB, StorageConfig
 from repro.storage.heapfile import HeapFile
@@ -88,26 +96,26 @@ def test_spilling_sort_conserves(rows, seed):
     assert_conserves(ctx, log)
 
 
-@given(
-    divisor=st.sampled_from([5, 10, 25]),
-    quotient=st.sampled_from([5, 25, 50]),
-    strategy=st.sampled_from(["naive", "hash-division", "hash-agg no join"]),
-)
-@settings(max_examples=10, deadline=None)
-def test_division_strategies_conserve(divisor, quotient, strategy):
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_division_strategies_conserve(strategy):
+    """Every strategy conserves cost, and the event log and the EXPLAIN
+    ANALYZE profile agree per operator class on every counter."""
     from repro.experiments.runner import run_strategy
     from repro.storage.catalog import Catalog
     from repro.workloads.synthetic import make_exact_division
 
-    log = IoEventLog()
-    ctx = ExecContext(io_trace=log)
-    dividend, divisor_rel = make_exact_division(divisor, quotient, seed=1)
-    catalog = Catalog(ctx.pool, ctx.data_disk)
-    catalog.store(dividend, name="dividend", cold=True)
-    catalog.store(divisor_rel, name="divisor", cold=True)
-    ctx.reset_meters()
-    run = run_strategy(
-        strategy, ctx, catalog, "dividend", "divisor", expected_quotient=quotient
-    )
-    assert run.quotient_tuples == quotient
-    assert_conserves(ctx, log)
+    for divisor, quotient in ((5, 5), (25, 50), (100, 100)):
+        dividend, divisor_rel = make_exact_division(divisor, quotient, seed=1)
+        log = IoEventLog()
+        ctx = ExecContext(tracer=Tracer(), io_trace=log)
+        catalog = Catalog(ctx.pool, ctx.data_disk)
+        catalog.store(dividend, name="dividend", cold=True)
+        catalog.store(divisor_rel, name="divisor", cold=True)
+        ctx.reset_meters()
+        run = run_strategy(
+            strategy, ctx, catalog, "dividend", "divisor", expected_quotient=quotient
+        )
+        assert run.quotient_tuples == quotient, f"{divisor}x{quotient}"
+        assert_conserves(ctx, log)
+        attribution = verify_attribution(log, run.profile)
+        assert attribution.ok, f"{divisor}x{quotient}: {attribution}"

@@ -1,8 +1,7 @@
-"""Metrics registry: instruments, families, and meter absorption."""
+"""Metrics registry: instruments, families, and CPU counter absorption."""
 
 import pytest
 
-from repro.executor.iterator import ExecContext
 from repro.metering import CpuCounters
 from repro.obs.metrics import (
     Counter,
@@ -10,10 +9,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsError,
     MetricsRegistry,
-    absorb_buffer_stats,
-    absorb_context,
     absorb_cpu_counters,
-    absorb_io_statistics,
 )
 
 
@@ -109,26 +105,3 @@ class TestAbsorption:
         assert registry.value("repro_cpu_hashes_total", strategy="hash-division") == 2
         assert registry.value("repro_cpu_moves_total", strategy="hash-division") == 1.5
         assert registry.value("repro_cpu_bit_ops_total", strategy="hash-division") == 7
-
-    def test_absorb_context_covers_all_meters(self):
-        ctx = ExecContext()
-        ctx.cpu.comparisons += 5
-        registry = MetricsRegistry()
-        absorb_context(registry, ctx)
-        assert registry.value("repro_cpu_comparisons_total") == 5
-        # Buffer and I/O families exist even when idle.
-        assert "repro_buffer_hit_ratio" in registry.names()
-
-    def test_absorb_buffer_and_io_after_real_work(self):
-        from repro.storage.catalog import Catalog
-        from repro.workloads.university import figure2_transcript
-
-        ctx = ExecContext()
-        catalog = Catalog(ctx.pool, ctx.data_disk)
-        catalog.store(figure2_transcript(), name="t", cold=True)
-        registry = MetricsRegistry()
-        absorb_buffer_stats(registry, ctx.pool.stats)
-        absorb_io_statistics(registry, ctx.io_stats)
-        assert registry.value("repro_buffer_fixes_total") > 0
-        assert registry.value("repro_io_writes_total", device="data") > 0
-        assert registry.value("repro_io_cost_ms", device="data") > 0

@@ -1,6 +1,5 @@
 """Structural-maintenance and access counters on the B+-tree."""
 
-from repro.obs.metrics import MetricsRegistry, absorb_btree
 from repro.storage.btree import BPlusTree
 
 
@@ -64,33 +63,3 @@ class TestBTreeStats:
             tree.delete(key)
         assert tree.stats.deletes == 5
         assert len(tree) == 15
-
-    def test_absorb_btree_metric_families(self):
-        tree = loaded_tree(order=4, keys=50)
-        tree.search(1)
-        list(tree.range(0, 9))
-        registry = MetricsRegistry()
-        absorb_btree(registry, tree, index="pk")
-        stats = tree.stats
-        assert registry.value("repro_btree_inserts_total", index="pk") == stats.inserts
-        assert (
-            registry.value("repro_btree_searches_total", index="pk") == stats.searches
-        )
-        assert (
-            registry.value("repro_btree_leaf_splits_total", index="pk")
-            == stats.leaf_splits
-        )
-        assert (
-            registry.value("repro_btree_interior_splits_total", index="pk")
-            == stats.interior_splits
-        )
-        assert (
-            registry.value("repro_btree_leaf_scans_total", index="pk")
-            == stats.leaf_scans
-        )
-        assert (
-            registry.value("repro_btree_leaves_visited_total", index="pk")
-            == stats.leaves_visited
-        )
-        assert registry.value("repro_btree_height", index="pk") == tree.height
-        assert registry.value("repro_btree_entries", index="pk") == len(tree)

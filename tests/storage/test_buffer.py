@@ -205,3 +205,31 @@ class TestMaintenance:
         pool.fix("d", page_no)
         pool.unfix("d", page_no)
         assert pool.stats.hit_ratio == pytest.approx(0.5)
+
+
+def churn(pool: BufferPool, disk: SimulatedDisk, pages: int = 8) -> list[int]:
+    numbers = []
+    for _ in range(pages):
+        page_no, _buf = pool.new_page(disk.name)
+        numbers.append(page_no)
+        pool.unfix(disk.name, page_no, dirty=True)
+    for page_no in numbers:  # re-fix: misses for the evicted ones
+        pool.fix(disk.name, page_no)
+        pool.unfix(disk.name, page_no)
+    return numbers
+
+
+class TestPoolStats:
+    def test_hits_and_hit_ratio(self):
+        pool, disk = make_pool(limit_pages=4)
+        churn(pool, disk)
+        stats = pool.stats
+        assert stats.hits == stats.fixes - stats.misses
+        assert stats.hit_ratio == pytest.approx(1.0 - stats.misses / stats.fixes)
+
+    def test_eviction_pressure_is_counted(self):
+        pool, disk = make_pool(limit_pages=4)
+        churn(pool, disk, pages=10)
+        # 10 one-KiB pages through 4 frames: evictions are inevitable.
+        assert pool.stats.evictions > 0
+        assert pool.stats.writebacks > 0

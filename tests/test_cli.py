@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _division_inputs, build_parser, main
 
 
 class TestParser:
@@ -191,6 +191,29 @@ class TestProfileCommand:
         out = capsys.readouterr().out
         assert "-- profile:" in out
         assert "EXPLAIN ANALYZE" in out
+
+
+class TestDivisionInputs:
+    def test_figure2_workload(self):
+        from repro.workloads.university import figure2_courses, figure2_transcript
+
+        args = build_parser().parse_args(["profile", "--workload", "figure2"])
+        dividend, divisor, expected = _division_inputs(args)
+        assert dividend.rows == figure2_transcript().rows
+        assert divisor.rows == figure2_courses().rows
+        assert expected == 1
+
+    def test_synthetic_workload_uses_sizes_and_seed(self):
+        from repro.workloads.synthetic import make_exact_division
+
+        args = build_parser().parse_args(
+            ["trace", "record", "--divisor", "4", "--quotient", "6"]
+        )
+        dividend, divisor, expected = _division_inputs(args)
+        want_dividend, want_divisor = make_exact_division(4, 6, seed=args.seed)
+        assert dividend.rows == want_dividend.rows
+        assert divisor.rows == want_divisor.rows
+        assert expected == 6
 
 
 class TestBrokenPipe:
