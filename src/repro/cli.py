@@ -14,12 +14,7 @@ Examples::
     python -m repro chaos --seed 42 --queries 30 --schedule-out faults.jsonl
     python -m repro chaos --scenario serve --rounds 5
     python -m repro serve --clients 4 --requests 8 --compare
-    python -m repro --seed 7 serve --clients 2 --tiny-pages --faults --json
-
-A global ``--seed N`` (before the subcommand) overrides every
-subcommand's seed, so one flag re-seeds the workload generators
-(``repro.workloads.synthetic`` / ``repro.workloads.zipf``), the chaos
-campaign, and the serving scheduler together.
+    python -m repro serve --seed 7 --clients 2 --tiny-pages --faults --json
 """
 
 from __future__ import annotations
@@ -477,17 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"repro {__version__}"
     )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        dest="global_seed",
-        metavar="N",
-        help="global seed override: takes precedence over any "
-        "subcommand --seed, re-seeding the workload generators "
-        "(repro.workloads), the chaos campaign, and the serving "
-        "scheduler from one flag",
-    )
     commands = parser.add_subparsers(dest="command", required=True)
 
     commands.add_parser("figure2", help="run the worked example").set_defaults(
@@ -602,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="EXPLAIN ANALYZE one division strategy (repro.obs)",
         description="Run one division strategy over cold stored relations "
-        "under the span tracer and render the per-operator profile: rows, "
+        "under the tracer and render the per-operator profile: rows, "
         "next() calls, Comp/Hash/Move/Bit deltas, buffer and I/O activity, "
         "and Table 1/Table 3 model milliseconds.",
     )
@@ -875,10 +859,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "global_seed", None) is not None:
-        # The global flag wins over any subcommand --seed: one knob
-        # re-seeds workload generation, chaos, and serving together.
-        args.seed = args.global_seed
     try:
         args.handler(args)
     except BrokenPipeError:

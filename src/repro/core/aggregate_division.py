@@ -94,21 +94,18 @@ class _AggregateDivisionBase(QueryIterator):
         re-reading the base relation.  Duplicate elimination here is
         the "explicitly requested" uniqueness of footnote 1.
         """
-        tracer = self.ctx.tracer
-        with tracer.span("aggregate_division.count_divisor") as span:
-            self.divisor.open()
-            try:
-                rows = list(self.divisor)
-            finally:
-                self.divisor.close()
-            if self.eliminate_duplicates:
-                rows = list(dict.fromkeys(rows))
-                # One comparison per tuple for the uniqueness check.
-                self.ctx.cpu.comparisons += len(rows)
-            divisor_relation = Relation(self.divisor.schema, rows, name="divisor")
-            self.divisor_count = len(divisor_relation)
-            span.annotate(divisor_tuples=self.divisor_count)
-        tracer.count(
+        self.divisor.open()
+        try:
+            rows = list(self.divisor)
+        finally:
+            self.divisor.close()
+        if self.eliminate_duplicates:
+            rows = list(dict.fromkeys(rows))
+            # One comparison per tuple for the uniqueness check.
+            self.ctx.cpu.comparisons += len(rows)
+        divisor_relation = Relation(self.divisor.schema, rows, name="divisor")
+        self.divisor_count = len(divisor_relation)
+        self.ctx.tracer.count(
             "repro_division_divisor_tuples_total",
             self.divisor_count,
             algorithm=self._algorithm_label(),
@@ -197,10 +194,7 @@ class SortAggregateDivision(_AggregateDivisionBase):
                 key_names=self.quotient_names,
                 reducer=count_reducer(self.dividend.schema, self.quotient_names),
             )
-        with self.ctx.tracer.span(
-            "aggregate_division.aggregate_dividend", strategy=self._algorithm_label()
-        ):
-            counts.open()
+        counts.open()
         self._counts = counts
 
     def describe(self) -> str:
@@ -249,10 +243,7 @@ class HashAggregateDivision(_AggregateDivisionBase):
             self.quotient_names,
             expected_groups=self.expected_quotient,
         )
-        with self.ctx.tracer.span(
-            "aggregate_division.aggregate_dividend", strategy=self._algorithm_label()
-        ):
-            counts.open()
+        counts.open()
         self._counts = counts
 
     def describe(self) -> str:

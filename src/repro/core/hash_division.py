@@ -110,8 +110,7 @@ class HashDivision(QueryIterator):
     def _open(self) -> None:
         tracer = self.ctx.tracer
         try:
-            with tracer.span("hash_division.build_divisor_table"):
-                self._build_divisor_table()
+            self._build_divisor_table()
             tracer.count(
                 "repro_division_divisor_tuples_total",
                 self._divisor_count,
@@ -124,21 +123,16 @@ class HashDivision(QueryIterator):
                 self.dividend.open()
                 self._output = None
             else:
-                with tracer.span("hash_division.consume_dividend") as span:
-                    self.dividend.open()
-                    try:
-                        consume = self._consume_tuple
-                        while True:
-                            row = self.dividend.next()
-                            if row is None:
-                                break
-                            consume(row)
-                    finally:
-                        self.dividend.close()
-                    span.annotate(
-                        dividend_tuples=self.dividend.rows_produced,
-                        quotient_candidates=len(self._quotient_table),
-                    )
+                self.dividend.open()
+                try:
+                    consume = self._consume_tuple
+                    while True:
+                        row = self.dividend.next()
+                        if row is None:
+                            break
+                        consume(row)
+                finally:
+                    self.dividend.close()
                 tracer.count(
                     "repro_division_quotient_candidates_total",
                     len(self._quotient_table),

@@ -60,27 +60,24 @@ class NaiveDivision(QueryIterator):
         self._done = False
 
     def _open(self) -> None:
-        tracer = self.ctx.tracer
-        with tracer.span("naive_division.load_divisor_list") as span:
-            self.divisor.open()
-            try:
-                self._divisor_list = []
-                previous: tuple | None = None
-                for row in self.divisor:
-                    value = tuple(row)
-                    if previous is not None:
-                        self.ctx.cpu.comparisons += 1
-                        if value <= previous:
-                            raise DivisionError(
-                                "naive division requires a sorted, duplicate-free "
-                                f"divisor; saw {value!r} after {previous!r}"
-                            )
-                    previous = value
-                    self._divisor_list.append(value)
-            finally:
-                self.divisor.close()
-            span.annotate(divisor_tuples=len(self._divisor_list))
-        tracer.count(
+        self.divisor.open()
+        try:
+            self._divisor_list = []
+            previous: tuple | None = None
+            for row in self.divisor:
+                value = tuple(row)
+                if previous is not None:
+                    self.ctx.cpu.comparisons += 1
+                    if value <= previous:
+                        raise DivisionError(
+                            "naive division requires a sorted, duplicate-free "
+                            f"divisor; saw {value!r} after {previous!r}"
+                        )
+                previous = value
+                self._divisor_list.append(value)
+        finally:
+            self.divisor.close()
+        self.ctx.tracer.count(
             "repro_division_divisor_tuples_total",
             len(self._divisor_list),
             algorithm="naive",

@@ -11,31 +11,28 @@ computations, and bit operations on the CPU side, and page transfers
 Operator inventory:
 
 * sources -- :class:`~repro.executor.scan.StoredRelationScan`,
-  :class:`~repro.executor.scan.RelationSource`
+  :class:`~repro.executor.scan.RelationSource`,
+  :class:`~repro.executor.materialize.TempFileScan`
 * tuple-at-a-time -- :class:`~repro.executor.filter.Select`,
   :class:`~repro.executor.project.Project`
 * sorting -- :class:`~repro.executor.sort.ExternalSort` with early
   aggregation and duplicate elimination during run generation
-* joins -- :class:`~repro.executor.merge_join.MergeJoin`,
-  :class:`~repro.executor.merge_join.MergeSemiJoin`,
-  :class:`~repro.executor.hash_join.HashJoin`,
-  :class:`~repro.executor.hash_join.HashSemiJoin`
-* aggregation -- :class:`~repro.executor.aggregate.ScalarCount`,
-  :class:`~repro.executor.aggregate.SortedGroupCount`,
+* semi-joins -- :class:`~repro.executor.merge_join.MergeSemiJoin`,
+  :class:`~repro.executor.hash_join.HashSemiJoin`,
+  :class:`~repro.executor.index_join.IndexSemiJoin`
+* aggregation -- :class:`~repro.executor.aggregate.SortedGroupCount`,
   :class:`~repro.executor.aggregate.HashGroupCount`
-* plumbing -- :class:`~repro.executor.materialize.Materialize`
 """
 
 from repro.executor.iterator import ExecContext, QueryIterator, run_to_relation
 from repro.executor.scan import RelationSource, StoredRelationScan
 from repro.executor.filter import Select
 from repro.executor.project import Project
-from repro.executor.materialize import Materialize
 from repro.executor.sort import ExternalSort
-from repro.executor.merge_join import MergeJoin, MergeSemiJoin
-from repro.executor.hash_join import HashJoin, HashSemiJoin
+from repro.executor.merge_join import MergeSemiJoin
+from repro.executor.hash_join import HashSemiJoin
 from repro.executor.hash_table import ChainedHashTable
-from repro.executor.aggregate import HashGroupCount, ScalarCount, SortedGroupCount
+from repro.executor.aggregate import HashGroupCount, SortedGroupCount
 
 __all__ = [
     "ExecContext",
@@ -45,14 +42,10 @@ __all__ = [
     "StoredRelationScan",
     "Select",
     "Project",
-    "Materialize",
     "ExternalSort",
-    "MergeJoin",
     "MergeSemiJoin",
-    "HashJoin",
     "HashSemiJoin",
     "ChainedHashTable",
     "HashGroupCount",
-    "ScalarCount",
     "SortedGroupCount",
 ]

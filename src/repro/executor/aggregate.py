@@ -1,10 +1,11 @@
-"""Aggregation operators: scalar count, sorted group count, hash group count.
+"""Aggregation operators: sorted group count and hash group count.
 
-Division by counting (Section 2.2) needs exactly three aggregation
-pieces:
+Division by counting (Section 2.2) needs three aggregation pieces:
 
 1. a *scalar aggregate* counting the divisor ("the courses offered by
    the university are counted using a scalar aggregate operator"),
+   which the division operators perform themselves while loading the
+   divisor (:mod:`repro.core.aggregate_division`),
 2. an *aggregate function* counting dividend tuples per group, either
    sort-based (:class:`SortedGroupCount`, usually fused into
    :class:`~repro.executor.sort.ExternalSort` via a count reducer) or
@@ -30,38 +31,6 @@ def counted_schema(input_schema: Schema, group_names: Sequence[str]) -> Schema:
     return Schema(
         tuple(input_schema.project(group_names)) + (Attribute(COUNT_COLUMN),)
     )
-
-
-class ScalarCount(QueryIterator):
-    """COUNT(*) over the whole input: one output row ``(count,)``.
-
-    The paper ignores the per-tuple increment cost, and so does this
-    operator -- the input's own scan cost is the real price.
-    """
-
-    def __init__(self, input_op: QueryIterator) -> None:
-        super().__init__(input_op.ctx, Schema.of_ints(COUNT_COLUMN))
-        self.input_op = input_op
-        self._emitted = False
-
-    def _open(self) -> None:
-        self.input_op.open()
-        self._emitted = False
-
-    def _next(self) -> Optional[Row]:
-        if self._emitted:
-            return None
-        count = 0
-        while self.input_op.next() is not None:
-            count += 1
-        self._emitted = True
-        return (count,)
-
-    def _close(self) -> None:
-        self.input_op.close()
-
-    def children(self) -> tuple[QueryIterator, ...]:
-        return (self.input_op,)
 
 
 class SortedGroupCount(QueryIterator):

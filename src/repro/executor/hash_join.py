@@ -1,4 +1,4 @@
-"""Hash join and hash semi-join.
+"""Hash semi-join.
 
 The hash-based aggregation strategy for the paper's second example
 query ("students who have taken all *database* courses") needs a
@@ -6,9 +6,6 @@ semi-join of the dividend with the restricted divisor before counting
 (Section 2.2.2): "The hash table in the semi-join is built by hashing
 on course-no's."  :class:`HashSemiJoin` is that operator; the build
 side is the (small) inner relation, the probe side streams.
-
-:class:`HashJoin` is the full join for completeness; the division
-pipelines only need the semi-join.
 """
 
 from __future__ import annotations
@@ -101,92 +98,3 @@ class HashSemiJoin(QueryIterator):
     def describe(self) -> str:
         return f"HashSemiJoin(on={','.join(self.join_names)})"
 
-
-class HashJoin(QueryIterator):
-    """Classic build/probe hash join on equally named attributes.
-
-    Output schema: probe attributes followed by the build attributes
-    not in the join key.
-    """
-
-    def __init__(
-        self,
-        probe: QueryIterator,
-        build: QueryIterator,
-        join_names: Sequence[str],
-        expected_build_size: int = 0,
-    ) -> None:
-        if probe.ctx is not build.ctx:
-            raise ExecutionError("join inputs must share one execution context")
-        self.join_names = tuple(join_names)
-        build_rest = [n for n in build.schema.names if n not in set(join_names)]
-        schema = (
-            probe.schema.concat(build.schema.project(build_rest))
-            if build_rest
-            else probe.schema
-        )
-        super().__init__(probe.ctx, schema)
-        self.probe = probe
-        self.build = build
-        self.expected_build_size = expected_build_size
-        self._probe_key = projector(probe.schema, self.join_names)
-        self._build_key = projector(build.schema, self.join_names)
-        self._build_rest = (
-            projector(build.schema, build_rest) if build_rest else (lambda row: ())
-        )
-        self._table: ChainedHashTable | None = None
-        self._pending: list[Row] = []
-
-    def _open(self) -> None:
-        self.build.open()
-        try:
-            rows = list(self.build)
-        finally:
-            self.build.close()
-        expected = self.expected_build_size or len(rows)
-        self._table = ChainedHashTable(
-            self.ctx.cpu,
-            self.ctx.memory,
-            bucket_count=ChainedHashTable.buckets_for(expected),
-            entry_bytes=self.build.schema.record_size,
-            tag="join-build",
-            tracer=self.ctx.tracer,
-        )
-        try:
-            for row in rows:
-                key = self._build_key(row)
-                group, _ = self._table.find_or_insert(key, list)
-                group.append(self._build_rest(row))
-            self.probe.open()
-        except BaseException:
-            # Overflow mid-build or a failed probe open must not leak
-            # the charged build table.
-            self._table.free()
-            self._table = None
-            raise
-        self._pending = []
-
-    def _next(self) -> Optional[Row]:
-        assert self._table is not None
-        while True:
-            if self._pending:
-                return self._pending.pop()
-            row = self.probe.next()
-            if row is None:
-                return None
-            group = self._table.find(self._probe_key(row))
-            if group:
-                self._pending = [row + rest for rest in reversed(group)]
-
-    def _close(self) -> None:
-        self.probe.close()
-        if self._table is not None:
-            self._table.free()
-            self._table = None
-        self._pending = []
-
-    def children(self) -> tuple[QueryIterator, ...]:
-        return (self.probe, self.build)
-
-    def describe(self) -> str:
-        return f"HashJoin(on={','.join(self.join_names)})"

@@ -1,14 +1,11 @@
-"""Index (semi-)joins.
+"""Index semi-join.
 
 Section 2.2.1 lists index join among the join methods usable before
 sort-based aggregation ("typically merge join, index join, or their
-semi-join versions").  These operators probe a
-:class:`~repro.storage.index.SecondaryIndex` per outer tuple:
-
-* :class:`IndexSemiJoin` passes outer tuples with at least one index
-  match (an existence probe -- no record fetch, no random I/O),
-* :class:`IndexJoin` additionally fetches the matching inner records
-  by RID, paying random record access through the buffer pool.
+semi-join versions").  :class:`IndexSemiJoin` probes a
+:class:`~repro.storage.index.SecondaryIndex` per outer tuple and passes
+outer tuples with at least one match -- an existence probe, with no
+record fetch and no random I/O.
 
 An index join shines when the outer input is small relative to the
 indexed relation; for the division workloads -- where the *dividend*
@@ -68,61 +65,3 @@ class IndexSemiJoin(QueryIterator):
     def describe(self) -> str:
         return f"IndexSemiJoin(on={','.join(self.index.key_names)})"
 
-
-class IndexJoin(QueryIterator):
-    """Join the outer input with the indexed relation by index probes.
-
-    Output: outer attributes followed by the inner attributes not in
-    the join key.  Each match is fetched by RID -- random access that
-    the buffer pool prices as random I/O when cold.
-    """
-
-    def __init__(self, outer: QueryIterator, index: SecondaryIndex) -> None:
-        inner_schema = index.stored.schema
-        inner_rest = [
-            n for n in inner_schema.names if n not in set(index.key_names)
-        ]
-        schema = (
-            outer.schema.concat(inner_schema.project(inner_rest))
-            if inner_rest
-            else outer.schema
-        )
-        super().__init__(outer.ctx, schema)
-        missing = [n for n in index.key_names if n not in outer.schema]
-        if missing:
-            raise ExecutionError(
-                f"index key attributes {missing} not in outer schema "
-                f"{outer.schema.names}"
-            )
-        self.outer = outer
-        self.index = index
-        self._key_of = projector(outer.schema, index.key_names)
-        self._rest_of = (
-            projector(inner_schema, inner_rest) if inner_rest else (lambda row: ())
-        )
-        self._pending: list[Row] = []
-
-    def _open(self) -> None:
-        self.outer.open()
-        self._pending = []
-
-    def _next(self) -> Optional[Row]:
-        while True:
-            if self._pending:
-                return self._pending.pop()
-            row = self.outer.next()
-            if row is None:
-                return None
-            matches = list(self.index.fetch(self._key_of(row)))
-            if matches:
-                self._pending = [row + self._rest_of(inner) for inner in matches]
-
-    def _close(self) -> None:
-        self.outer.close()
-        self._pending = []
-
-    def children(self) -> tuple[QueryIterator, ...]:
-        return (self.outer,)
-
-    def describe(self) -> str:
-        return f"IndexJoin(on={','.join(self.index.key_names)})"

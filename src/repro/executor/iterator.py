@@ -48,7 +48,7 @@ class ExecContext:
         memory_budget: Byte budget for in-memory hash tables and bit
             maps; ``None`` means unbounded.
         tracer: Optional :class:`repro.obs.span.Tracer` recording
-            spans, metrics, and per-operator attribution; defaults to
+            metrics and per-operator attribution; defaults to
             the no-op :data:`repro.obs.span.NULL_TRACER`.
         io_trace: Optional :class:`repro.obs.iotrace.IoEventLog`
             recording one event per physical page transfer; defaults
@@ -87,8 +87,8 @@ class ExecContext:
         self.config = config or StorageConfig()
         #: Observability hook (repro.obs): the shared no-op NULL_TRACER
         #: by default, so un-profiled execution pays one flag test per
-        #: protocol call; pass a repro.obs.Tracer to record spans,
-        #: metrics, and per-operator meter attribution.
+        #: protocol call; pass a repro.obs.Tracer to record metrics
+        #: and per-operator meter attribution.
         self.tracer = NULL_TRACER if tracer is None else tracer
         #: Page-level I/O event log (repro.obs.iotrace): the shared
         #: no-op NULL_IO_TRACE by default, so un-traced execution pays
@@ -137,27 +137,20 @@ class ExecContext:
         #: Fault-injection wiring (repro.faults): None by default, so
         #: every hook is a single ``is None`` test.  One BackoffClock
         #: is shared by all devices so retry waits aggregate per run.
-        self.fault_injector = None
         self.backoff_clock = BackoffClock()
-        if retry_policy is not None:
-            for disk in (self.data_disk, self.temp_disk, self.run_disk):
-                disk.retry_policy = retry_policy
-        for disk in (self.data_disk, self.temp_disk, self.run_disk):
-            disk.backoff_clock = self.backoff_clock
-        if fault_injector is not None:
-            self.attach_fault_injector(fault_injector)
+        self.attach_fault_injector(fault_injector, retry_policy)
 
-    def attach_fault_injector(self, injector) -> None:
+    def attach_fault_injector(self, injector, retry_policy=None) -> None:
         """Thread one :class:`~repro.faults.injector.FaultInjector`
         through the context's devices and memory pool.
 
         Pass ``None`` to detach and restore the zero-cost paths.  The
-        devices keep their retry policies and the shared
-        :attr:`backoff_clock`.
+        devices keep their retry policies (unless ``retry_policy`` is
+        given) and the shared :attr:`backoff_clock`.
         """
         self.fault_injector = injector
         for disk in (self.data_disk, self.temp_disk, self.run_disk):
-            disk.injector = injector
+            disk.attach_faults(injector, retry_policy, self.backoff_clock)
         self.memory.injector = injector
 
     @property

@@ -1,9 +1,8 @@
-"""Materialization: spool a plan's output to a temp file and rescan it.
+"""Scan of a spooled temp heap file.
 
-Used when an intermediate result must be consumed more than once or
-must exist in file form (e.g. partition spooling in the overflow
-driver).  The spooled file lives on the 8 KB ``temp`` device and is
-destroyed on close.
+Partitioned division (Section 3.4) spools each partition to a heap file
+on the 8 KB ``temp`` device and feeds every phase from it through
+:class:`TempFileScan`.
 """
 
 from __future__ import annotations
@@ -14,57 +13,6 @@ from repro.executor.iterator import ExecContext, QueryIterator
 from repro.relalg.schema import Schema
 from repro.relalg.tuples import Row
 from repro.storage.heapfile import HeapFile
-
-
-class Materialize(QueryIterator):
-    """Spool the input to a temp heap file at open, then scan it.
-
-    The write pays sequential write I/O (on eviction/flush) and the
-    scan pays read I/O only for pages that no longer sit in the buffer
-    pool -- mirroring the paper's observation that temp pages often
-    "remain in the buffer pool from run creation to merging and
-    deletion" (Section 5.2).
-    """
-
-    def __init__(self, input_op: QueryIterator) -> None:
-        super().__init__(input_op.ctx, input_op.schema)
-        self.input_op = input_op
-        self._file: HeapFile | None = None
-        self._rows: Iterator[Row] | None = None
-        self._codec = input_op.schema.codec()
-
-    def _open(self) -> None:
-        self._file = self.ctx.temp_file("temp")
-        try:
-            self.input_op.open()
-            try:
-                encode = self._codec.encode
-                self._file.append_many(encode(row) for row in self.input_op)
-            finally:
-                self.input_op.close()
-            decode = self._codec.decode
-            self._rows = (decode(record) for _rid, record in self._file.scan())
-        except BaseException:
-            # A failed _open leaves the operator CLOSED, so _close will
-            # never run -- the spool file must be reclaimed here or it
-            # leaks temp pages (found by the chaos suite under injected
-            # temp-device write faults).
-            self._file.destroy()
-            self._file = None
-            raise
-
-    def _next(self) -> Optional[Row]:
-        assert self._rows is not None
-        return next(self._rows, None)
-
-    def _close(self) -> None:
-        self._rows = None
-        if self._file is not None:
-            self._file.destroy()
-            self._file = None
-
-    def children(self) -> tuple[QueryIterator, ...]:
-        return (self.input_op,)
 
 
 class TempFileScan(QueryIterator):

@@ -1,13 +1,11 @@
-"""Merge join and merge semi-join over sorted inputs.
+"""Merge semi-join over sorted inputs.
 
-"Merge join consists of a merging scan of both inputs, in which tuples
-from the inner relation with equal key values are kept in a linked
-list of tuples pinned in the buffer pool.  For semi-joins in which the
-outer relation produces the result, no linked lists are used."
-(Section 5.1.)  Both operators here require their inputs already sorted
-on the join attributes -- composing with
-:class:`~repro.executor.sort.ExternalSort` is the planner's job, as it
-was in the paper's sort-based aggregation strategy.
+"Merge join consists of a merging scan of both inputs ... For
+semi-joins in which the outer relation produces the result, no linked
+lists are used." (Section 5.1.)  The sort-based aggregation strategy
+with a join needs only the semi-join.  Its inputs must already be
+sorted on the join attributes -- composing with
+:class:`~repro.executor.sort.ExternalSort` is the planner's job.
 """
 
 from __future__ import annotations
@@ -15,109 +13,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.errors import ExecutionError
-from repro.executor.iterator import QueryIterator
+from repro.executor.iterator import QueryIterator, open_all
 from repro.relalg.tuples import Row, projector
-
-
-class MergeJoin(QueryIterator):
-    """Join two key-sorted inputs on equally named attributes.
-
-    Output schema: all outer attributes followed by the inner
-    attributes not in the join key.  Inner tuples with equal keys are
-    buffered (the paper's pinned linked list) so outer duplicates can
-    re-join the group.
-    """
-
-    def __init__(
-        self,
-        outer: QueryIterator,
-        inner: QueryIterator,
-        join_names: Sequence[str],
-    ) -> None:
-        if outer.ctx is not inner.ctx:
-            raise ExecutionError("join inputs must share one execution context")
-        self.join_names = tuple(join_names)
-        inner_rest = [n for n in inner.schema.names if n not in set(join_names)]
-        schema = (
-            outer.schema.concat(inner.schema.project(inner_rest))
-            if inner_rest
-            else outer.schema
-        )
-        super().__init__(outer.ctx, schema)
-        self.outer = outer
-        self.inner = inner
-        self._outer_key = projector(outer.schema, self.join_names)
-        self._inner_key = projector(inner.schema, self.join_names)
-        self._inner_rest = (
-            projector(inner.schema, inner_rest) if inner_rest else (lambda row: ())
-        )
-        self._inner_row: Row | None = None
-        self._inner_done = False
-        self._group_key: tuple | None = None
-        self._group: list[tuple] = []
-        self._group_index = 0
-        self._outer_row: Row | None = None
-
-    def _open(self) -> None:
-        self.outer.open()
-        self.inner.open()
-        self._inner_row = self.inner.next()
-        self._inner_done = self._inner_row is None
-        self._group_key = None
-        self._group = []
-        self._group_index = 0
-        self._outer_row = None
-
-    def _next(self) -> Optional[Row]:
-        cpu = self.ctx.cpu
-        while True:
-            if self._outer_row is not None and self._group_index < len(self._group):
-                rest = self._group[self._group_index]
-                self._group_index += 1
-                return self._outer_row + rest
-            self._outer_row = self.outer.next()
-            if self._outer_row is None:
-                return None
-            key = self._outer_key(self._outer_row)
-            if key != self._group_key:
-                cpu.comparisons += 1
-                self._load_group(key)
-            else:
-                cpu.comparisons += 1
-            self._group_index = 0
-
-    def _load_group(self, key: tuple) -> None:
-        """Advance the inner scan to ``key`` and buffer its group."""
-        cpu = self.ctx.cpu
-        self._group = []
-        self._group_key = key
-        while not self._inner_done:
-            assert self._inner_row is not None
-            inner_key = self._inner_key(self._inner_row)
-            cpu.comparisons += 1
-            if inner_key < key:
-                self._inner_row = self.inner.next()
-                self._inner_done = self._inner_row is None
-                continue
-            if inner_key == key:
-                self._group.append(self._inner_rest(self._inner_row))
-                self._inner_row = self.inner.next()
-                self._inner_done = self._inner_row is None
-                continue
-            break
-
-    def _close(self) -> None:
-        self.outer.close()
-        self.inner.close()
-        self._group = []
-        self._outer_row = None
-        self._inner_row = None
-
-    def children(self) -> tuple[QueryIterator, ...]:
-        return (self.outer, self.inner)
-
-    def describe(self) -> str:
-        return f"MergeJoin(on={','.join(self.join_names)})"
 
 
 class MergeSemiJoin(QueryIterator):
@@ -145,11 +42,16 @@ class MergeSemiJoin(QueryIterator):
         self._inner_done = False
 
     def _open(self) -> None:
-        self.outer.open()
-        self.inner.open()
+        # A failed inner open or first inner next() must not leave the
+        # outer open: a spilled ExternalSort outer would leak its runs.
+        open_all((self.outer, self.inner))
         self._current_inner = None
         self._inner_done = False
-        self._advance_inner()
+        try:
+            self._advance_inner()
+        except BaseException:
+            self._close()
+            raise
 
     def _advance_inner(self) -> None:
         row = self.inner.next()

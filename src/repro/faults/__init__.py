@@ -31,7 +31,6 @@ from repro.faults.injector import (
     FaultRule,
     InjectorCounters,
     schedule_to_jsonl,
-    write_schedule_jsonl,
 )
 from repro.faults.retry import DEFAULT_RETRY_POLICY, BackoffClock, RetryPolicy
 
@@ -44,7 +43,6 @@ __all__ = [
     "FaultRule",
     "InjectorCounters",
     "schedule_to_jsonl",
-    "write_schedule_jsonl",
     "DEFAULT_RETRY_POLICY",
     "BackoffClock",
     "RetryPolicy",

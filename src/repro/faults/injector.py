@@ -434,11 +434,3 @@ def schedule_to_jsonl(events: Iterable[FaultEvent]) -> str:
     return "".join(
         json.dumps(event.to_dict(), sort_keys=True) + "\n" for event in events
     )
-
-
-def write_schedule_jsonl(path, events: Iterable[FaultEvent]) -> int:
-    """Write a fault schedule to ``path``; returns the event count."""
-    events = list(events)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(schedule_to_jsonl(events))
-    return len(events)

@@ -1,11 +1,11 @@
-"""repro.obs -- execution observability: spans, metrics, profiles, export.
+"""repro.obs -- execution observability: tracer, metrics, profiles, export.
 
 The layered subsystem behind ``Query.explain_analyze()``, the
 ``repro profile`` CLI command, and the ``BENCH_*.json`` benchmark
 trajectory:
 
-* :mod:`repro.obs.span` -- hierarchical span tracer with an
-  injectable clock and a zero-cost null default,
+* :mod:`repro.obs.span` -- the tracer behind per-operator attribution
+  and metrics, with an injectable clock and a zero-cost null default,
 * :mod:`repro.obs.metrics` -- counters/gauges/histograms, and the fold
   of a run's Table 1 CPU counters into them,
 * :mod:`repro.obs.profile` -- per-operator meter attribution and the
@@ -25,7 +25,6 @@ from repro.obs.export import (
     provenance_info,
     load_bench_json,
     profile_to_json,
-    registry_to_json,
     render_prometheus,
     validate_bench_payload,
     write_bench_json,
@@ -68,7 +67,6 @@ from repro.obs.span import (
     FakeClock,
     MonotonicClock,
     NullTracer,
-    Span,
     Tracer,
 )
 
@@ -91,7 +89,6 @@ __all__ = [
     "NullTracer",
     "OperatorStats",
     "QueryProfile",
-    "Span",
     "Tracer",
     "absorb_cpu_counters",
     "attribution_by_operator",
@@ -104,7 +101,6 @@ __all__ = [
     "read_jsonl",
     "profile_to_json",
     "provenance_info",
-    "registry_to_json",
     "render_prometheus",
     "render_summary",
     "replay_cost_ms",

@@ -112,11 +112,6 @@ def profile_to_json(profile: QueryProfile, indent: int = 2) -> str:
     return json.dumps(profile.to_dict(), indent=indent, sort_keys=True)
 
 
-def registry_to_json(registry: MetricsRegistry, indent: int = 2) -> str:
-    """A :class:`~repro.obs.metrics.MetricsRegistry` as a JSON document."""
-    return json.dumps(registry.to_dict(), indent=indent, sort_keys=True)
-
-
 # -- BENCH_*.json ------------------------------------------------------
 
 

@@ -1,4 +1,4 @@
-"""Hierarchical span tracing with an injectable clock.
+"""The execution tracer and its injectable clock.
 
 The paper's whole argument is quantitative -- Tables 1-4 compare the
 division strategies by counted operations and costed I/O -- so the
@@ -8,33 +8,24 @@ activity, and the Table 3 I/O milliseconds.  This module provides the
 substrate:
 
 * :class:`Clock` / :class:`MonotonicClock` / :class:`FakeClock` -- a
-  tiny clock abstraction so anything that measures wall time (spans,
-  the experiment runner) can be driven by a deterministic fake in
-  tests,
-* :class:`Span` -- one timed, named, attributed node in a tree,
-* :class:`Tracer` -- records spans and per-operator meter attribution
-  (see :mod:`repro.obs.profile`) and carries a
+  tiny clock abstraction so anything that measures wall time (operator
+  attribution, the experiment runner) can be driven by a deterministic
+  fake in tests,
+* :class:`Tracer` -- records per-operator meter attribution (see
+  :mod:`repro.obs.profile`) and writes through to a
   :class:`~repro.obs.metrics.MetricsRegistry`,
 * :class:`NullTracer` / :data:`NULL_TRACER` -- the default no-op: the
-  paper-reproduction hot paths check a single ``enabled`` flag (or run
-  a shared null context manager), so disabled tracing costs ~nothing
-  and -- crucially for the reproduction -- *counts* nothing: the
-  Comp/Hash/Move/Bit meters see identical values with tracing on or
-  off, because tracing only ever snapshots the meters, never advances
-  them.
-
-Span naming convention (see DESIGN.md): dotted lowercase
-``<area>.<phase>`` names, e.g. ``hash_division.build_divisor_table``;
-operator spans recorded through the profile machinery use the
-operator's class name.
+  paper-reproduction hot paths check a single ``enabled`` flag, so
+  disabled tracing costs ~nothing and -- crucially for the
+  reproduction -- *counts* nothing: the Comp/Hash/Move/Bit meters see
+  identical values with tracing on or off, because tracing only ever
+  snapshots the meters, never advances them.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Protocol, runtime_checkable
+from typing import Optional, Protocol, runtime_checkable
 
 
 @runtime_checkable
@@ -82,101 +73,16 @@ class FakeClock:
 MONOTONIC_CLOCK = MonotonicClock()
 
 
-@dataclass
-class Span:
-    """One node of the trace tree: a named, timed, attributed interval.
-
-    Attributes:
-        name: Dotted lowercase span name (``<area>.<phase>``).
-        start_s: Clock reading when the span was opened.
-        end_s: Clock reading when it closed (``None`` while open).
-        attributes: Free-form key/value annotations.
-        events: Point-in-time ``(clock, name, attributes)`` marks.
-        children: Nested spans, in creation order.
-    """
-
-    name: str
-    start_s: float
-    end_s: Optional[float] = None
-    attributes: dict = field(default_factory=dict)
-    events: list = field(default_factory=list)
-    children: list["Span"] = field(default_factory=list)
-
-    @property
-    def duration_s(self) -> Optional[float]:
-        """Elapsed seconds, or ``None`` while the span is still open."""
-        return None if self.end_s is None else self.end_s - self.start_s
-
-    def annotate(self, **attributes) -> "Span":
-        """Attach attributes to the span; returns the span for chaining."""
-        self.attributes.update(attributes)
-        return self
-
-    def walk(self) -> Iterator["Span"]:
-        """Yield this span and every descendant, pre-order."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
-    def find(self, name: str) -> Optional["Span"]:
-        """First span (pre-order) in this subtree with ``name``."""
-        for span in self.walk():
-            if span.name == name:
-                return span
-        return None
-
-    def to_dict(self) -> dict:
-        """JSON-ready representation of the subtree."""
-        return {
-            "name": self.name,
-            "start_s": self.start_s,
-            "duration_s": self.duration_s,
-            "attributes": dict(self.attributes),
-            "events": [
-                {"at_s": at, "name": name, "attributes": dict(attrs)}
-                for at, name, attrs in self.events
-            ],
-            "children": [child.to_dict() for child in self.children],
-        }
-
-
-class _NullSpan:
-    """The span handed out by :class:`NullTracer`: absorbs everything."""
-
-    __slots__ = ()
-
-    def annotate(self, **attributes) -> "_NullSpan":
-        return self
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        return None
-
-
-_NULL_SPAN = _NullSpan()
-
-
 class NullTracer:
     """The default tracer: every operation is a no-op.
 
     ``enabled`` is ``False`` so hot paths (one flag test per
-    ``next()`` call) skip instrumentation entirely, and ``span()``
-    returns a shared reusable null context manager for the coarse
-    phase spans the division algorithms always emit.  A null-traced
-    run produces no spans, no operator stats, and no metrics entries.
+    ``next()`` call) skip instrumentation entirely.  A null-traced run
+    produces no operator stats and no metrics entries.
     """
 
     enabled = False
     metrics = None
-
-    def span(self, name: str, **attributes) -> _NullSpan:
-        """A reusable no-op context manager."""
-        return _NULL_SPAN
-
-    def event(self, name: str, **attributes) -> None:
-        """Discard the event."""
 
     def count(self, name: str, value: float = 1.0, **labels) -> None:
         """Discard the counter increment."""
@@ -203,7 +109,7 @@ NULL_TRACER = NullTracer()
 
 
 class Tracer:
-    """A recording tracer: span tree + operator attribution + metrics.
+    """A recording tracer: operator attribution + metrics.
 
     Args:
         clock: Time source; defaults to the real monotonic clock.
@@ -223,47 +129,7 @@ class Tracer:
 
         self.clock: Clock = clock or MONOTONIC_CLOCK
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.roots: list[Span] = []
-        self._stack: list[Span] = []
         self._ops = None  # lazy OperatorAccounting (repro.obs.profile)
-
-    # -- spans ---------------------------------------------------------
-
-    @contextmanager
-    def span(self, name: str, **attributes):
-        """Open a child span of the current span (context manager)."""
-        span = Span(name=name, start_s=self.clock.now(), attributes=attributes)
-        if self._stack:
-            self._stack[-1].children.append(span)
-        else:
-            self.roots.append(span)
-        self._stack.append(span)
-        try:
-            yield span
-        finally:
-            span.end_s = self.clock.now()
-            self._stack.pop()
-
-    def current_span(self) -> Optional[Span]:
-        """Innermost open span, or ``None`` outside any span."""
-        return self._stack[-1] if self._stack else None
-
-    def event(self, name: str, **attributes) -> None:
-        """Record a point event on the current span (or a root mark)."""
-        mark = (self.clock.now(), name, attributes)
-        if self._stack:
-            self._stack[-1].events.append(mark)
-        else:
-            root = Span(name=name, start_s=mark[0], end_s=mark[0], attributes=attributes)
-            self.roots.append(root)
-
-    def find_span(self, name: str) -> Optional[Span]:
-        """First recorded span with ``name`` (pre-order over roots)."""
-        for root in self.roots:
-            hit = root.find(name)
-            if hit is not None:
-                return hit
-        return None
 
     # -- metrics write-through -----------------------------------------
 

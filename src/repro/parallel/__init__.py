@@ -9,7 +9,8 @@ claims quantitative with a deterministic simulation:
   tuples/bytes/messages shipped,
 * :mod:`repro.parallel.processor` -- per-processor execution contexts
   whose CPU meters price local work,
-* :mod:`repro.parallel.partitioning` -- hash and range declustering,
+* :mod:`repro.parallel.partitioning` -- round-robin declustering of
+  the base relations,
 * :mod:`repro.parallel.bitvector` -- Babb-style bit-vector filters,
 * :mod:`repro.parallel.division` -- the parallel hash-division driver
   for both strategies (divisor replication with quotient partitioning,
@@ -24,15 +25,12 @@ bottleneck, bit-vector savings).
 
 from repro.parallel.bitvector import BitVectorFilter
 from repro.parallel.network import Interconnect, NetworkWeights
-from repro.parallel.partitioning import hash_partition, range_partition
 from repro.parallel.division import ParallelDivisionResult, parallel_hash_division
 
 __all__ = [
     "BitVectorFilter",
     "Interconnect",
     "NetworkWeights",
-    "hash_partition",
-    "range_partition",
     "ParallelDivisionResult",
     "parallel_hash_division",
 ]

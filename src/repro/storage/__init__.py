@@ -10,12 +10,11 @@ package rebuilds those services:
 * :mod:`repro.storage.stats` -- the Table 3 cost weights that convert
   those counts to model milliseconds,
 * :mod:`repro.storage.buffer` -- a fix/unfix buffer manager with LRU
-  replacement, dynamic growth, and *virtual devices* for intermediate
-  results,
+  replacement and dynamic growth,
 * :mod:`repro.storage.page` -- slotted pages,
 * :mod:`repro.storage.heapfile` -- extent-based record files with
   record identifiers and sequential scans,
-* :mod:`repro.storage.btree` -- B+-tree indexes,
+* :mod:`repro.storage.btree` -- the B+-tree behind secondary indexes,
 * :mod:`repro.storage.memory` -- the main-memory pool that hash tables,
   bit maps, and chain elements are charged against,
 * :mod:`repro.storage.catalog` -- a name -> (file, schema) registry

@@ -3,15 +3,16 @@
 The paper's file system lists B+-trees among its main services
 (Section 5.1).  The division experiments themselves never probe an
 index -- every algorithm scans its inputs sequentially -- but the
-substrate would be incomplete without one, and the index-join variant
-mentioned for the aggregation strategies (Section 2.2.1) needs it.
+index semi-join mentioned for the aggregation strategies
+(Section 2.2.1) needs one.  The index is built once and then only
+probed, so the tree supports insertion, point search and range scans.
 
 This is a classic order-``n`` B+-tree: interior nodes hold separator
 keys and children; leaves hold (key, value) pairs and are chained for
 range scans.  Keys are arbitrary orderable tuples, values are opaque
 (typically :class:`~repro.storage.heapfile.RecordId`).  Duplicate keys
-are rejected -- secondary indexes append the RID to the key to make it
-unique, which :meth:`BPlusTree.insert_multi` automates.
+are rejected -- :class:`~repro.storage.index.SecondaryIndex` appends
+the RID to the key to make it unique.
 
 Every key comparison can be metered into a
 :class:`~repro.metering.CpuCounters` so index costs are visible in the
@@ -21,7 +22,6 @@ same units as everything else.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from typing import Any, Iterator
 
 from repro.errors import BTreeError
@@ -29,32 +29,6 @@ from repro.metering import CpuCounters
 
 DEFAULT_ORDER = 64
 """Default maximum children per interior node."""
-
-
-@dataclass
-class BTreeStats:
-    """Structural-maintenance and access counters for one tree.
-
-    Plain integers read from ``tree.stats``; no metric family exports
-    them.
-
-    Attributes:
-        searches: Point lookups performed.
-        inserts: Successful insertions.
-        deletes: Successful deletions.
-        leaf_splits: Leaf nodes split during insertion.
-        interior_splits: Interior nodes split during insertion.
-        leaf_scans: Range/items scans initiated.
-        leaves_visited: Leaf nodes walked by those scans.
-    """
-
-    searches: int = 0
-    inserts: int = 0
-    deletes: int = 0
-    leaf_splits: int = 0
-    interior_splits: int = 0
-    leaf_scans: int = 0
-    leaves_visited: int = 0
 
 
 class _Node:
@@ -96,8 +70,6 @@ class BPlusTree:
             raise BTreeError(f"order must be >= 3, got {order}")
         self.order = order
         self.cpu = cpu
-        #: Structural/access counters (:class:`BTreeStats`).
-        self.stats = BTreeStats()
         self._root: _Node = _Leaf()
         self._size = 0
         self._height = 1
@@ -134,7 +106,6 @@ class BPlusTree:
 
     def search(self, key: Any) -> Any | None:
         """Return the value stored under ``key``, or ``None``."""
-        self.stats.searches += 1
         leaf = self._find_leaf(key)
         self._charge(self._bisect_cost(len(leaf.keys)))
         index = bisect.bisect_left(leaf.keys, key)
@@ -147,7 +118,6 @@ class BPlusTree:
 
         ``None`` bounds are open.
         """
-        self.stats.leaf_scans += 1
         if low is None:
             leaf: _Leaf | None = self._leftmost_leaf()
             index = 0
@@ -156,7 +126,6 @@ class BPlusTree:
             self._charge(self._bisect_cost(len(leaf.keys)))
             index = bisect.bisect_left(leaf.keys, low)
         while leaf is not None:
-            self.stats.leaves_visited += 1
             while index < len(leaf.keys):
                 key = leaf.keys[index]
                 if high is not None and key > high:
@@ -193,15 +162,6 @@ class BPlusTree:
             self._root = new_root
             self._height += 1
         self._size += 1
-        self.stats.inserts += 1
-
-    def insert_multi(self, key: tuple, value: Any) -> None:
-        """Insert a possibly duplicate key by appending the value to it.
-
-        Stores under the composite key ``key + (value,)``, the standard
-        trick for secondary indexes over non-unique attributes.
-        """
-        self.insert(tuple(key) + (value,), value)
 
     def _insert(self, node: _Node, key: Any, value: Any) -> tuple[Any, _Node] | None:
         if isinstance(node, _Leaf):
@@ -228,7 +188,6 @@ class BPlusTree:
         return self._split_interior(node)
 
     def _split_leaf(self, leaf: _Leaf) -> tuple[Any, _Leaf]:
-        self.stats.leaf_splits += 1
         middle = len(leaf.keys) // 2
         right = _Leaf()
         right.keys = leaf.keys[middle:]
@@ -240,7 +199,6 @@ class BPlusTree:
         return right.keys[0], right
 
     def _split_interior(self, node: _Interior) -> tuple[Any, _Interior]:
-        self.stats.interior_splits += 1
         middle = len(node.keys) // 2
         separator = node.keys[middle]
         right = _Interior()
@@ -249,165 +207,3 @@ class BPlusTree:
         node.keys = node.keys[:middle]
         node.children = node.children[: middle + 1]
         return separator, right
-
-    # -- deletion ----------------------------------------------------------------
-
-    def delete(self, key: Any) -> Any:
-        """Remove ``key`` and return its value.
-
-        Raises:
-            BTreeError: when ``key`` is absent.
-        """
-        value = self._delete(self._root, key)
-        if isinstance(self._root, _Interior) and len(self._root.children) == 1:
-            self._root = self._root.children[0]
-            self._height -= 1
-        self._size -= 1
-        self.stats.deletes += 1
-        return value
-
-    def _min_entries(self) -> int:
-        return self.order // 2
-
-    def _delete(self, node: _Node, key: Any) -> Any:
-        if isinstance(node, _Leaf):
-            self._charge(self._bisect_cost(len(node.keys)))
-            index = bisect.bisect_left(node.keys, key)
-            if index >= len(node.keys) or node.keys[index] != key:
-                raise BTreeError(f"key {key!r} not found")
-            node.keys.pop(index)
-            return node.values.pop(index)
-        assert isinstance(node, _Interior)
-        self._charge(self._bisect_cost(len(node.keys)))
-        index = bisect.bisect_right(node.keys, key)
-        value = self._delete(node.children[index], key)
-        self._rebalance_child(node, index)
-        return value
-
-    def _entry_count(self, node: _Node) -> int:
-        if isinstance(node, _Leaf):
-            return len(node.keys)
-        return len(node.children)  # type: ignore[attr-defined]
-
-    def _rebalance_child(self, parent: _Interior, index: int) -> None:
-        child = parent.children[index]
-        if self._entry_count(child) >= self._min_entries():
-            return
-        left = parent.children[index - 1] if index > 0 else None
-        right = parent.children[index + 1] if index + 1 < len(parent.children) else None
-        if left is not None and self._entry_count(left) > self._min_entries():
-            self._borrow_from_left(parent, index)
-        elif right is not None and self._entry_count(right) > self._min_entries():
-            self._borrow_from_right(parent, index)
-        elif left is not None:
-            self._merge_children(parent, index - 1)
-        elif right is not None:
-            self._merge_children(parent, index)
-
-    def _borrow_from_left(self, parent: _Interior, index: int) -> None:
-        child = parent.children[index]
-        left = parent.children[index - 1]
-        if isinstance(child, _Leaf):
-            assert isinstance(left, _Leaf)
-            child.keys.insert(0, left.keys.pop())
-            child.values.insert(0, left.values.pop())
-            parent.keys[index - 1] = child.keys[0]
-        else:
-            assert isinstance(left, _Interior) and isinstance(child, _Interior)
-            child.keys.insert(0, parent.keys[index - 1])
-            parent.keys[index - 1] = left.keys.pop()
-            child.children.insert(0, left.children.pop())
-
-    def _borrow_from_right(self, parent: _Interior, index: int) -> None:
-        child = parent.children[index]
-        right = parent.children[index + 1]
-        if isinstance(child, _Leaf):
-            assert isinstance(right, _Leaf)
-            child.keys.append(right.keys.pop(0))
-            child.values.append(right.values.pop(0))
-            parent.keys[index] = right.keys[0]
-        else:
-            assert isinstance(right, _Interior) and isinstance(child, _Interior)
-            child.keys.append(parent.keys[index])
-            parent.keys[index] = right.keys.pop(0)
-            child.children.append(right.children.pop(0))
-
-    def _merge_children(self, parent: _Interior, index: int) -> None:
-        """Merge child ``index+1`` into child ``index``."""
-        left = parent.children[index]
-        right = parent.children[index + 1]
-        if isinstance(left, _Leaf):
-            assert isinstance(right, _Leaf)
-            left.keys.extend(right.keys)
-            left.values.extend(right.values)
-            left.next = right.next
-        else:
-            assert isinstance(left, _Interior) and isinstance(right, _Interior)
-            left.keys.append(parent.keys[index])
-            left.keys.extend(right.keys)
-            left.children.extend(right.children)
-        parent.keys.pop(index)
-        parent.children.pop(index + 1)
-
-    # -- bulk load --------------------------------------------------------------
-
-    @classmethod
-    def bulk_load(
-        cls,
-        items: Iterator[tuple[Any, Any]] | list[tuple[Any, Any]],
-        order: int = DEFAULT_ORDER,
-        cpu: CpuCounters | None = None,
-    ) -> "BPlusTree":
-        """Build a tree from *sorted, unique* (key, value) pairs.
-
-        Leaves are packed left to right at ~2/3 fill, then interior
-        levels are built bottom-up -- the standard bulk-load that avoids
-        per-key descents.
-
-        Raises:
-            BTreeError: when the input is unsorted or has duplicates.
-        """
-        tree = cls(order=order, cpu=cpu)
-        fill = max(2, (2 * order) // 3)
-        leaves: list[_Leaf] = []
-        previous_key: Any = None
-        current = _Leaf()
-        count = 0
-        for key, value in items:
-            if previous_key is not None:
-                if cpu is not None:
-                    cpu.comparisons += 1
-                if key <= previous_key:
-                    raise BTreeError("bulk_load input must be sorted and unique")
-            previous_key = key
-            if len(current.keys) >= fill:
-                leaves.append(current)
-                nxt = _Leaf()
-                current.next = nxt
-                current = nxt
-            current.keys.append(key)
-            current.values.append(value)
-            count += 1
-        leaves.append(current)
-        if count == 0:
-            return tree
-        tree._size = count
-        level: list[_Node] = list(leaves)
-        separators = [leaf.keys[0] for leaf in leaves]
-        height = 1
-        while len(level) > 1:
-            parents: list[_Node] = []
-            parent_separators: list[Any] = []
-            for start in range(0, len(level), fill):
-                group = level[start : start + fill]
-                node = _Interior()
-                node.children = group
-                node.keys = separators[start + 1 : start + len(group)]
-                parents.append(node)
-                parent_separators.append(separators[start])
-            level = parents
-            separators = parent_separators
-            height += 1
-        tree._root = level[0]
-        tree._height = height
-        return tree

@@ -10,10 +10,7 @@ Models the paper's buffer pool (Section 5.1):
 * the pool "grows dynamically until the main memory pool is exhausted,
   and shrinks as buffer slots are unfixed": fixing more pages than the
   configured buffer size is allowed up to ``memory_limit``; once pages
-  are unfixed, the pool evicts back down to its configured size,
-* *virtual devices* hold intermediate results: their pages live only in
-  the pool, are never written to disk, and disappear once unfixed and
-  evicted.
+  are unfixed, the pool evicts back down to its configured size.
 
 Physical I/O happens only on a buffer miss (read) and on eviction or
 flush of a dirty page (write), which is how the experimental runs where
@@ -24,7 +21,7 @@ naturally incur no sort I/O in the Table 4 reproduction.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import BufferPoolError, StorageError
 from repro.storage.config import StorageConfig
@@ -39,16 +36,6 @@ class _Frame:
     data: bytearray
     fix_count: int = 0
     dirty: bool = False
-
-
-@dataclass
-class _VirtualDevice:
-    """A device with no backing disk; pages exist only in the pool."""
-
-    name: str
-    page_size: int
-    next_page: int = 0
-    live_pages: set = field(default_factory=set)
 
 
 @dataclass
@@ -82,7 +69,6 @@ class BufferPool:
         self.config = config or StorageConfig()
         self.stats = BufferPoolStats()
         self._disks: dict[str, SimulatedDisk] = {}
-        self._virtuals: dict[str, _VirtualDevice] = {}
         self._frames: dict[PageKey, _Frame] = {}
         self._lru: OrderedDict[PageKey, None] = OrderedDict()
         self._bytes_in_use = 0
@@ -91,30 +77,15 @@ class BufferPool:
 
     def register_device(self, disk: SimulatedDisk) -> SimulatedDisk:
         """Attach a simulated disk so its pages can be buffered."""
-        if disk.name in self._disks or disk.name in self._virtuals:
+        if disk.name in self._disks:
             raise StorageError(f"device name {disk.name!r} already registered")
         self._disks[disk.name] = disk
         return disk
-
-    def create_virtual_device(self, name: str, page_size: int | None = None) -> str:
-        """Create a virtual (pool-only) device and return its name."""
-        if name in self._disks or name in self._virtuals:
-            raise StorageError(f"device name {name!r} already registered")
-        self._virtuals[name] = _VirtualDevice(
-            name, page_size or self.config.page_size
-        )
-        return name
-
-    def is_virtual(self, device: str) -> bool:
-        """True when ``device`` is a virtual (pool-only) device."""
-        return device in self._virtuals
 
     def page_size_of(self, device: str) -> int:
         """Page size of a registered device."""
         if device in self._disks:
             return self._disks[device].page_size
-        if device in self._virtuals:
-            return self._virtuals[device].page_size
         raise StorageError(f"unknown device {device!r}")
 
     # -- memory accounting -----------------------------------------------
@@ -133,20 +104,13 @@ class BufferPool:
     def new_page(self, device: str) -> tuple[int, memoryview]:
         """Allocate a fresh page on ``device``, fixed and zeroed.
 
-        Returns ``(page_no, writable view)``.  The frame starts dirty
-        for disk devices so it reaches the disk on eviction or flush.
+        Returns ``(page_no, writable view)``.  The frame starts dirty so
+        it reaches the disk on eviction or flush.
         """
         page_size = self.page_size_of(device)
-        if device in self._virtuals:
-            vdev = self._virtuals[device]
-            page_no = vdev.next_page
-            vdev.next_page += 1
-            vdev.live_pages.add(page_no)
-            frame = self._install(device, page_no, bytearray(page_size))
-        else:
-            page_no = self._disks[device].allocate_page()
-            frame = self._install(device, page_no, bytearray(page_size))
-            frame.dirty = True
+        page_no = self._disks[device].allocate_page()
+        frame = self._install(device, page_no, bytearray(page_size))
+        frame.dirty = True
         frame.fix_count = 1
         self.stats.fixes += 1
         return page_no, memoryview(frame.data)
@@ -161,8 +125,6 @@ class BufferPool:
         key = (device, page_no)
         if key in self._frames:
             return self.fix(device, page_no)
-        if device in self._virtuals:
-            raise StorageError("fix_new is for disk devices; virtual pages use new_page")
         self.stats.fixes += 1
         frame = self._install(device, page_no, bytearray(self.page_size_of(device)))
         frame.fix_count = 1
@@ -183,13 +145,6 @@ class BufferPool:
                 del self._lru[key]
             return memoryview(frame.data)
         self.stats.misses += 1
-        if device in self._virtuals:
-            vdev = self._virtuals[device]
-            if page_no in vdev.live_pages:
-                raise BufferPoolError(
-                    f"virtual page ({device!r}, {page_no}) was evicted and is lost"
-                )
-            raise BufferPoolError(f"unknown virtual page ({device!r}, {page_no})")
         if device not in self._disks:
             raise StorageError(f"unknown device {device!r}")
         data = self._disks[device].read_page(page_no)
@@ -203,12 +158,10 @@ class BufferPool:
         Args:
             device: Device name.
             page_no: Page number.
-            dirty: Mark the frame modified so eviction writes it back
-                (ignored for virtual devices, which have no backing).
+            dirty: Mark the frame modified so eviction writes it back.
             discard: Hint that the page "can be replaced immediately"
                 (Section 5.1): once its fix count reaches zero the frame
-                is dropped at once -- written back first if dirty and
-                disk-backed, simply forgotten if virtual.
+                is dropped at once, written back first if dirty.
         """
         key = (device, page_no)
         frame = self._frames.get(key)
@@ -228,7 +181,7 @@ class BufferPool:
         if frame.fix_count > 0:
             return
         if discard:
-            self._drop(key, frame, write_back=not self.is_virtual(device))
+            self._drop(key, frame)
         else:
             self._lru[key] = None
         self._shrink_to_target()
@@ -236,9 +189,7 @@ class BufferPool:
     # -- maintenance ---------------------------------------------------------
 
     def flush_device(self, device: str) -> None:
-        """Write back every dirty frame of a disk device (keeps frames)."""
-        if device in self._virtuals:
-            return
+        """Write back every dirty frame of a device (keeps frames)."""
         disk = self._disks[device]
         for (dev, page_no), frame in self._frames.items():
             if dev == device and frame.dirty:
@@ -256,26 +207,21 @@ class BufferPool:
         key = (device, page_no)
         frame = self._frames.get(key)
         if frame is None:
-            if device in self._virtuals:
-                self._virtuals[device].live_pages.discard(page_no)
             return
         if frame.fix_count > 0:
             raise BufferPoolError(f"page ({device!r}, {page_no}) is still fixed")
         self._frames.pop(key)
         self._lru.pop(key, None)
         self._bytes_in_use -= len(frame.data)
-        if device in self._virtuals:
-            self._virtuals[device].live_pages.discard(page_no)
 
     def drop_device_pages(self, device: str, discard_dirty: bool = False) -> None:
         """Evict every unfixed frame of ``device`` (a cache drop).
 
-        Dirty disk-backed frames are written back first so no data is
-        lost -- this is how experiments cool the cache between setup
-        and measurement.  Pass ``discard_dirty=True`` only when the
-        device's buffered contents are known dead (virtual frames are
-        always simply forgotten; per-page dead-data release for files
-        being destroyed uses :meth:`forget_page` instead).
+        Dirty frames are written back first so no data is lost -- this
+        is how experiments cool the cache between setup and
+        measurement.  Pass ``discard_dirty=True`` only when the device's
+        buffered contents are known dead (per-page dead-data release for
+        files being destroyed uses :meth:`forget_page` instead).
         """
         victims = [
             key
@@ -286,9 +232,7 @@ class BufferPool:
             frame = self._frames.pop(key)
             self._lru.pop(key, None)
             self._bytes_in_use -= len(frame.data)
-            if key[0] in self._virtuals:
-                self._virtuals[key[0]].live_pages.discard(key[1])
-            elif frame.dirty and not discard_dirty:
+            if frame.dirty and not discard_dirty:
                 self._disks[device].write_page(key[1], frame.data)
                 self.stats.writebacks += 1
 
@@ -320,14 +264,12 @@ class BufferPool:
     def _evict_one(self) -> None:
         key, _ = self._lru.popitem(last=False)
         frame = self._frames[key]
-        self._drop(key, frame, write_back=True)
+        self._drop(key, frame)
         self.stats.evictions += 1
 
-    def _drop(self, key: PageKey, frame: _Frame, write_back: bool) -> None:
+    def _drop(self, key: PageKey, frame: _Frame) -> None:
         device, page_no = key
-        if device in self._virtuals:
-            self._virtuals[device].live_pages.discard(page_no)
-        elif write_back and frame.dirty:
+        if frame.dirty:
             self._disks[device].write_page(page_no, frame.data)
             self.stats.writebacks += 1
         self._frames.pop(key, None)

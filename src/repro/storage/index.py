@@ -6,14 +6,12 @@ strategies.  A :class:`SecondaryIndex` maps key-attribute values to the
 record identifiers of a heap file; non-unique keys are handled by
 appending the RID to the key (the tree itself stays unique).
 
-Probing charges tree-descent comparisons to the context's counters;
-fetching the indexed rows goes through the buffer pool, so random
-record access is priced as random I/O when the page is cold.
+Probing charges tree-descent comparisons to the context's counters.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.errors import StorageError
 from repro.metering import CpuCounters
@@ -76,11 +74,6 @@ class SecondaryIndex:
         self._tree.insert(self._key_of(row) + (rid,), rid)
         self._size += 1
 
-    def delete(self, row: Row, rid: RecordId) -> None:
-        """Remove one record's entry."""
-        self._tree.delete(self._key_of(row) + (rid,))
-        self._size -= 1
-
     # -- probing -------------------------------------------------------------
 
     def probe(self, key: tuple) -> list[RecordId]:
@@ -96,21 +89,6 @@ class SecondaryIndex:
         for _entry in self._tree.range(key + (_LOW,), key + (_HIGH,)):
             return True
         return False
-
-    def fetch(self, key: tuple) -> Iterator[Row]:
-        """Decode the rows matching ``key`` (random record access)."""
-        codec = self.stored.codec
-        for rid in self.probe(key):
-            yield codec.decode(self.stored.file.get(rid))
-
-    def scan_keys(self) -> Iterator[tuple]:
-        """Distinct key values in key order (an ordered index scan)."""
-        previous: tuple | None = None
-        for composite, _rid in self._tree.items():
-            key = composite[:-1]
-            if key != previous:
-                previous = key
-                yield key
 
     def __repr__(self) -> str:
         return (

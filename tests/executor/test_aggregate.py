@@ -1,6 +1,6 @@
 """Tests for the aggregation operators."""
 
-from repro.executor.aggregate import HashGroupCount, ScalarCount, SortedGroupCount
+from repro.executor.aggregate import HashGroupCount, SortedGroupCount
 from repro.executor.iterator import run_to_relation
 from repro.executor.scan import RelationSource
 from repro.relalg.relation import Relation
@@ -8,20 +8,6 @@ from repro.relalg.relation import Relation
 
 def source(ctx, names, rows):
     return RelationSource(ctx, Relation.of_ints(names, rows))
-
-
-class TestScalarCount:
-    def test_counts_all_rows(self, ctx):
-        plan = ScalarCount(source(ctx, ("a",), [(1,), (2,), (2,)]))
-        assert run_to_relation(plan).rows == [(3,)]
-
-    def test_empty_input(self, ctx):
-        plan = ScalarCount(source(ctx, ("a",), []))
-        assert run_to_relation(plan).rows == [(0,)]
-
-    def test_schema(self, ctx):
-        plan = ScalarCount(source(ctx, ("a",), []))
-        assert plan.schema.names == ("count",)
 
 
 class TestSortedGroupCount:

@@ -19,8 +19,9 @@ from repro.errors import SchemaError
 from repro.executor.aggregate import HashGroupCount
 from repro.executor.distinct import HashDistinct
 from repro.executor.filter import Select
-from repro.executor.hash_join import HashJoin, HashSemiJoin
+from repro.executor.hash_join import HashSemiJoin
 from repro.executor.iterator import ExecContext, QueryIterator, open_all
+from repro.executor.merge_join import MergeSemiJoin
 from repro.executor.scan import RelationSource
 from repro.executor.sort import ExternalSort
 from repro.core.hash_division import HashDivision
@@ -28,6 +29,7 @@ from repro.core.naive_division import NaiveDivision
 from repro.relalg.predicates import AttributeEquals
 from repro.relalg.relation import Relation
 from repro.relalg.schema import Schema
+from repro.storage.config import StorageConfig
 
 
 class Boom(RuntimeError):
@@ -154,13 +156,60 @@ class TestJoins:
         assert ctx.memory.bytes_in_use == 0
         assert_reopenable(build)
 
-    def test_hash_join_failed_probe_open_frees_build_table(self, ctx):
-        build = RelationSource(ctx, ints(("a",), [(1,)]))
-        probe = FailingOpen(ctx, Schema.of_ints("a", "b"))
-        join = HashJoin(probe, build, ("a",))
+    def test_semi_join_failed_build_open_charges_nothing(self, ctx):
+        build = FailingOpen(ctx, Schema.of_ints("a"))
+        probe = RelationSource(ctx, ints(("a", "b"), [(1, 1)]))
+        join = HashSemiJoin(probe, build, ("a",))
         with pytest.raises(Boom):
             join.open()
+        join.close()
         assert ctx.memory.bytes_in_use == 0
+        # The probe side was never touched.
+        assert_reopenable(probe)
+
+    def test_index_semi_join_failed_outer_open_is_closable(self, ctx, catalog):
+        from repro.executor.index_join import IndexSemiJoin
+        from repro.storage.index import SecondaryIndex
+
+        stored = catalog.store(ints(("a",), [(1,)], name="keys"))
+        join = IndexSemiJoin(
+            FailingOpen(ctx, Schema.of_ints("a", "b")),
+            SecondaryIndex.build(stored, ["a"]),
+        )
+        with pytest.raises(Boom):
+            join.open()
+        join.close()
+
+    @pytest.mark.parametrize(
+        "failing_inner",
+        [
+            lambda ctx: FailingOpen(ctx, Schema.of_ints("a")),
+            lambda ctx: ExplodingNext(RelationSource(ctx, ints(("a",), []))),
+        ],
+        ids=["inner-open", "first-inner-next"],
+    )
+    def test_merge_semi_join_failed_inner_closes_spilled_outer(self, failing_inner):
+        # The sort-agg-with-join pair: a spilled ExternalSort outer.
+        ctx = ExecContext(
+            config=StorageConfig(
+                page_size=512,
+                sort_run_page_size=256,
+                buffer_size=4 * 512,
+                sort_buffer_size=4 * 512,
+            )
+        )
+        rows = [(i % 97, i) for i in range(400)]
+        outer = ExternalSort(
+            RelationSource(ctx, ints(("a", "b"), rows)), key_names=("a",)
+        )
+        join = MergeSemiJoin(outer, failing_inner(ctx), ("a",))
+        with pytest.raises(Boom):
+            join.open()
+        join.close()
+        # The outer was closed during the unwind: its runs are gone.
+        assert ctx.run_disk.page_count == 0
+        assert_reopenable(outer)
+        ctx.close()
 
 
 class TestDivisionOperators:
@@ -198,9 +247,8 @@ class TestFailedOpenUnderInjectedFaults:
     """
 
     @staticmethod
-    def _faulted_ctx(device: str) -> ExecContext:
+    def _faulted_ctx(device: str, max_fires: int | None = None) -> ExecContext:
         from repro.faults import FaultInjector, FaultRule
-        from repro.storage.config import StorageConfig
 
         ctx = ExecContext(
             config=StorageConfig(
@@ -212,28 +260,15 @@ class TestFailedOpenUnderInjectedFaults:
         )
         ctx.attach_fault_injector(
             FaultInjector(
-                [FaultRule("permanent", op="write", device=device)], seed=0
+                [
+                    FaultRule(
+                        "permanent", op="write", device=device, max_fires=max_fires
+                    )
+                ],
+                seed=0,
             )
         )
         return ctx
-
-    def test_materialize_failed_spool_destroys_temp_file(self):
-        from repro.errors import DiskFaultError
-        from repro.executor.materialize import Materialize
-
-        ctx = self._faulted_ctx("temp")
-        rows = [(i, i % 7) for i in range(400)]
-        spool = Materialize(RelationSource(ctx, ints(("a", "b"), rows)))
-        with pytest.raises(DiskFaultError):
-            spool.open()
-        # The state machine stayed CLOSED: close() is an idempotent
-        # no-op after the failed attempt, not the cleanup path ...
-        spool.close()
-        # ... so _open itself must have reclaimed the partial spool.
-        assert spool._file is None
-        assert ctx.temp_disk.page_count == 0
-        assert ctx.pool.fixed_page_count() == 0
-        ctx.close()
 
     def test_sort_failed_spill_destroys_partial_runs(self):
         from repro.errors import DiskFaultError
@@ -258,35 +293,20 @@ class TestFailedOpenUnderInjectedFaults:
         """After a faulted open the operator is reopenable once the
         fault clears -- nothing about the failure is sticky."""
         from repro.errors import DiskFaultError
-        from repro.executor.materialize import Materialize
-        from repro.faults import FaultInjector, FaultRule
-        from repro.storage.config import StorageConfig
 
-        ctx = ExecContext(
-            config=StorageConfig(
-                page_size=512,
-                sort_run_page_size=256,
-                buffer_size=4 * 512,
-                sort_buffer_size=4 * 512,
-            )
+        ctx = self._faulted_ctx("runs", max_fires=1)
+        capacity = ctx.config.sort_run_capacity_records(
+            Schema.of_ints("a").codec().record_size
         )
-        ctx.attach_fault_injector(
-            FaultInjector(
-                [
-                    FaultRule(
-                        "permanent", op="write", device="temp", max_fires=1
-                    )
-                ],
-                seed=0,
-            )
+        rows = [(i,) for i in range(capacity * 3)]
+        sort = ExternalSort(
+            RelationSource(ctx, ints(("a",), rows)), key_names=("a",)
         )
-        rows = [(i, i) for i in range(400)]
-        spool = Materialize(RelationSource(ctx, ints(("a", "b"), rows)))
         with pytest.raises(DiskFaultError):
-            spool.open()
+            sort.open()
         # The rule is exhausted; the same operator opens cleanly now.
-        spool.open()
-        assert sum(1 for _ in spool) == len(rows)
-        spool.close()
-        assert ctx.temp_disk.page_count == 0
+        sort.open()
+        assert sum(1 for _ in sort) == len(rows)
+        sort.close()
+        assert ctx.run_disk.page_count == 0
         ctx.close()

@@ -1,7 +1,7 @@
-"""Tests for hash join and hash semi-join."""
+"""Tests for the hash semi-join."""
 
 from repro.errors import HashTableOverflowError
-from repro.executor.hash_join import HashJoin, HashSemiJoin
+from repro.executor.hash_join import HashSemiJoin
 from repro.executor.iterator import ExecContext, run_to_relation
 from repro.executor.scan import RelationSource
 from repro.relalg.relation import Relation
@@ -51,47 +51,39 @@ class TestHashSemiJoin:
         with pytest.raises(HashTableOverflowError):
             run_to_relation(plan)
 
+    def test_contexts_must_match(self, ctx):
+        from repro.errors import ExecutionError
 
-class TestHashJoin:
-    def test_basic_join(self, ctx):
+        probe = source(ctx, ("k",), [])
+        build = source(ExecContext(), ("k",), [])
+        with pytest.raises(ExecutionError):
+            HashSemiJoin(probe, build, ["k"])
+
+    def test_empty_build_yields_nothing(self, ctx):
         probe = source(ctx, ("k", "a"), [(1, 10), (2, 20)])
-        build = source(ctx, ("k", "b"), [(1, 100), (1, 101), (3, 300)])
-        result = run_to_relation(HashJoin(probe, build, ["k"]))
-        assert sorted(result.rows) == [(1, 10, 100), (1, 10, 101)]
-        assert result.schema.names == ("k", "a", "b")
+        build = source(ctx, ("k",), [])
+        assert run_to_relation(HashSemiJoin(probe, build, ["k"])).rows == []
+        assert ctx.memory.bytes_in_use == 0
 
-    def test_join_on_all_build_attributes(self, ctx):
-        probe = source(ctx, ("k", "a"), [(1, 10), (2, 20)])
-        build = source(ctx, ("k",), [(1,)])
-        result = run_to_relation(HashJoin(probe, build, ["k"]))
-        assert result.rows == [(1, 10)]
-        assert result.schema.names == ("k", "a")
-
-    def test_m_to_n_multiplicity(self, ctx):
-        probe = source(ctx, ("k", "a"), [(1, 0), (1, 1)])
-        build = source(ctx, ("k", "b"), [(1, 0), (1, 1), (1, 2)])
-        assert len(run_to_relation(HashJoin(probe, build, ["k"]))) == 6
-
-    def test_agrees_with_merge_join(self, ctx):
-        import random
-
-        rng = random.Random(5)
-        probe_rows = [(rng.randrange(8), i) for i in range(50)]
-        build_rows = [(rng.randrange(8), i + 100) for i in range(30)]
-        hash_result = run_to_relation(
-            HashJoin(
-                source(ctx, ("k", "a"), probe_rows),
-                source(ctx, ("k", "b"), build_rows),
+    def test_size_hint_does_not_change_the_result(self, ctx):
+        rows = [(i % 7, i) for i in range(40)]
+        keys = [(1,), (4,), (6,)]
+        exact = run_to_relation(
+            HashSemiJoin(source(ctx, ("k", "a"), rows), source(ctx, ("k",), keys), ["k"])
+        )
+        hinted = run_to_relation(
+            HashSemiJoin(
+                source(ctx, ("k", "a"), rows),
+                source(ctx, ("k",), keys),
                 ["k"],
+                expected_build_size=1000,
             )
         )
-        from repro.executor.merge_join import MergeJoin
+        assert hinted.rows == exact.rows
+        assert len(exact) == sum(1 for k, _ in rows if k in {1, 4, 6})
 
-        merge_result = run_to_relation(
-            MergeJoin(
-                source(ctx, ("k", "a"), sorted(probe_rows)),
-                source(ctx, ("k", "b"), sorted(build_rows)),
-                ["k"],
-            )
+    def test_describe_names_the_join_attributes(self, ctx):
+        join = HashSemiJoin(
+            source(ctx, ("s", "c"), []), source(ctx, ("s", "c"), []), ["s", "c"]
         )
-        assert hash_result.as_bag() == merge_result.as_bag()
+        assert join.describe() == "HashSemiJoin(on=s,c)"

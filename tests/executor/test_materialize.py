@@ -1,29 +1,8 @@
-"""Tests for materialization and temp file scans."""
+"""Tests for temp file scans."""
 
 from repro.executor.iterator import run_to_relation
-from repro.executor.materialize import Materialize, TempFileScan
-from repro.executor.scan import RelationSource
+from repro.executor.materialize import TempFileScan
 from repro.relalg.relation import Relation
-
-
-class TestMaterialize:
-    def test_passthrough_contents(self, ctx):
-        relation = Relation.of_ints(("a", "b"), [(1, 2), (3, 4)])
-        plan = Materialize(RelationSource(ctx, relation))
-        assert run_to_relation(plan).bag_equal(relation)
-
-    def test_temp_pages_released_on_close(self, ctx):
-        relation = Relation.of_ints(("a", "b"), [(i, i) for i in range(2000)])
-        plan = Materialize(RelationSource(ctx, relation))
-        run_to_relation(plan)
-        assert ctx.temp_disk.page_count == 0
-
-    def test_small_result_stays_in_buffer(self, ctx):
-        relation = Relation.of_ints(("a", "b"), [(1, 1)])
-        plan = Materialize(RelationSource(ctx, relation))
-        run_to_relation(plan)
-        # One page, written and read entirely inside the pool.
-        assert ctx.io_stats.counters("temp").reads == 0
 
 
 class TestTempFileScan:
@@ -45,3 +24,17 @@ class TestTempFileScan:
         file.append(schema.codec().encode((1,)))
         run_to_relation(TempFileScan(ctx, file, schema, destroy_on_close=True))
         assert ctx.temp_disk.page_count == 0
+
+    def test_empty_file_yields_nothing(self, ctx):
+        schema = Relation.of_ints(("a",), []).schema
+        file = ctx.temp_file("temp")
+        assert run_to_relation(TempFileScan(ctx, file, schema)).rows == []
+
+    def test_rescan_after_close_restarts(self, ctx):
+        schema = Relation.of_ints(("a", "b"), []).schema
+        codec = schema.codec()
+        file = ctx.temp_file("temp")
+        file.append_many(codec.encode((i, -i)) for i in range(3))
+        plan = TempFileScan(ctx, file, schema)
+        assert run_to_relation(plan).rows == [(0, 0), (1, -1), (2, -2)]
+        assert run_to_relation(plan).rows == [(0, 0), (1, -1), (2, -2)]

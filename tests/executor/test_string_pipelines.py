@@ -2,15 +2,14 @@
 operator.
 
 Most executor tests use all-integer schemas (the paper's experimental
-records); these make sure the codec-backed paths -- sort runs,
-materialization, partition spooling -- survive fixed-width string
+records); these make sure the codec-backed paths -- sort runs and
+partition spooling -- survive fixed-width string
 attributes, which the Figure 2 relations actually use.
 """
 
 from repro.core.hash_division import HashDivision
 from repro.core.partitioned import quotient_partitioned_division
 from repro.executor.iterator import ExecContext, run_to_relation
-from repro.executor.materialize import Materialize
 from repro.executor.scan import RelationSource
 from repro.executor.sort import ExternalSort
 from repro.relalg.relation import Relation
@@ -77,11 +76,6 @@ class TestStringSort:
 
 
 class TestStringMaterializeAndPartition:
-    def test_materialize_roundtrips_strings(self, ctx):
-        relation = enrollment(complete=4)
-        result = run_to_relation(Materialize(RelationSource(ctx, relation)))
-        assert result.bag_equal(relation)
-
     def test_partitioned_division_with_string_keys(self, ctx):
         dividend = enrollment(complete=3)
         divisor = Relation(COURSE_SCHEMA, [(c,) for c in COURSES])

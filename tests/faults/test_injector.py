@@ -9,7 +9,6 @@ from repro.faults import (
     FaultInjector,
     FaultRule,
     schedule_to_jsonl,
-    write_schedule_jsonl,
 )
 
 
@@ -171,13 +170,6 @@ class TestSchedule:
             assert line == json.dumps(parsed, sort_keys=True)
             assert parsed["scope"] == "disk"
 
-    def test_write_schedule_jsonl_roundtrip(self, tmp_path):
-        injector = self._schedule(5)
-        path = tmp_path / "schedule.jsonl"
-        count = write_schedule_jsonl(path, injector.schedule)
-        assert count == len(injector.schedule)
-        assert path.read_text() == schedule_to_jsonl(injector.schedule)
-
     def test_memory_event_records_base_tag_only(self):
         """Process-global allocation-tag suffixes must not reach the
         schedule, or byte-identical cross-process replay breaks."""
@@ -194,3 +186,40 @@ class TestSchedule:
         assert summary["operations_seen"] == 40
         assert sum(summary["faults_fired"].values()) == len(injector.schedule)
         assert all("kind" in rule for rule in summary["rules"])
+
+
+class TestContextWiring:
+    """``ExecContext`` threads one injector through all its devices."""
+
+    @staticmethod
+    def _disks(ctx):
+        return (ctx.data_disk, ctx.temp_disk, ctx.run_disk)
+
+    def test_constructor_wires_every_device(self):
+        from repro.executor.iterator import ExecContext
+        from repro.faults import RetryPolicy
+
+        injector = FaultInjector([], seed=0)
+        policy = RetryPolicy(max_attempts=2)
+        ctx = ExecContext(fault_injector=injector, retry_policy=policy)
+        for disk in self._disks(ctx):
+            assert disk.injector is injector
+            assert disk.retry_policy is policy
+            assert disk.backoff_clock is ctx.backoff_clock
+        assert ctx.memory.injector is injector
+
+    def test_detach_keeps_policy_and_shared_clock(self):
+        from repro.executor.iterator import ExecContext
+        from repro.faults import RetryPolicy
+
+        policy = RetryPolicy(max_attempts=3)
+        ctx = ExecContext(
+            fault_injector=FaultInjector([], seed=0), retry_policy=policy
+        )
+        ctx.attach_fault_injector(None)
+        for disk in self._disks(ctx):
+            assert disk.injector is None
+            assert disk.retry_policy is policy
+            assert disk.backoff_clock is ctx.backoff_clock
+        assert ctx.fault_injector is None
+        assert ctx.memory.injector is None

@@ -12,7 +12,6 @@ from repro.obs.export import (
     bench_payload as make_bench_payload,
     load_bench_json,
     profile_to_json,
-    registry_to_json,
     render_prometheus,
     validate_bench_payload,
     write_bench_json,
@@ -63,12 +62,6 @@ class TestPrometheus:
 
 
 class TestJson:
-    def test_registry_to_json_is_valid_json(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_x_total").inc(2)
-        payload = json.loads(registry_to_json(registry))
-        assert payload["repro_x_total"]["samples"][0]["value"] == 2
-
     def test_profile_to_json_is_valid_json(self):
         from repro.experiments.runner import run_strategy_on_relations
         from repro.workloads.university import figure2_courses, figure2_transcript

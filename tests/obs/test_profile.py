@@ -119,20 +119,20 @@ class TestNullTracerParity:
 
 
 class TestAlgorithmSpansAndMetrics:
-    def test_hash_division_emits_phase_spans(self):
+    def test_hash_division_counts_dividend_and_candidates(self):
         tracer = Tracer()
-        run_strategy_on_relations(
+        run = run_strategy_on_relations(
             "hash-division",
             figure2_transcript(),
             figure2_courses(),
             expected_quotient=1,
             tracer=tracer,
         )
-        build = tracer.find_span("hash_division.build_divisor_table")
-        consume = tracer.find_span("hash_division.consume_dividend")
-        assert build is not None and consume is not None
-        assert consume.attributes["dividend_tuples"] == 4
-        assert consume.attributes["quotient_candidates"] == 2
+        by_label = {op.label: op for op in run.profile.all_operators()}
+        assert by_label["StoredRelationScan(dividend)"].rows_out == 4
+        assert tracer.metrics.value(
+            "repro_division_quotient_candidates_total", algorithm="hash-division"
+        ) == 2
 
     def test_division_metrics_recorded(self):
         tracer = Tracer()

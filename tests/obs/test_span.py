@@ -1,4 +1,4 @@
-"""Span tracer: clocks, span trees, the null tracer's guarantees."""
+"""Tracer: clocks, metrics write-through, the null tracer's guarantees."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.obs.span import (
     MonotonicClock,
     NULL_TRACER,
     NullTracer,
-    Span,
     Tracer,
 )
 
@@ -40,77 +39,6 @@ class TestClocks:
         assert isinstance(FakeClock(), Clock)
 
 
-class TestSpanTree:
-    def test_nesting_and_durations(self):
-        clock = FakeClock()
-        tracer = Tracer(clock=clock)
-        with tracer.span("outer") as outer:
-            clock.advance(1.0)
-            with tracer.span("inner", detail=42) as inner:
-                clock.advance(0.5)
-            clock.advance(0.25)
-        assert tracer.roots == [outer]
-        assert outer.children == [inner]
-        assert outer.duration_s == pytest.approx(1.75)
-        assert inner.duration_s == pytest.approx(0.5)
-        assert inner.attributes == {"detail": 42}
-
-    def test_duration_none_while_open(self):
-        tracer = Tracer(clock=FakeClock())
-        with tracer.span("open") as span:
-            assert span.duration_s is None
-        assert span.duration_s is not None
-
-    def test_annotate_chains(self):
-        span = Span(name="s", start_s=0.0)
-        assert span.annotate(rows=3) is span
-        assert span.attributes == {"rows": 3}
-
-    def test_events_attach_to_current_span(self):
-        clock = FakeClock()
-        tracer = Tracer(clock=clock)
-        with tracer.span("phase") as span:
-            clock.advance(1.0)
-            tracer.event("milestone", tuples=7)
-        (at, name, attrs) = span.events[0]
-        assert (at, name, attrs) == (1.0, "milestone", {"tuples": 7})
-
-    def test_event_outside_any_span_becomes_a_root_mark(self):
-        tracer = Tracer(clock=FakeClock())
-        tracer.event("lonely")
-        assert tracer.roots[0].name == "lonely"
-        assert tracer.roots[0].duration_s == 0.0
-
-    def test_find_span_preorder(self):
-        tracer = Tracer(clock=FakeClock())
-        with tracer.span("a"):
-            with tracer.span("b"):
-                pass
-        assert tracer.find_span("b").name == "b"
-        assert tracer.find_span("missing") is None
-
-    def test_walk_and_to_dict(self):
-        tracer = Tracer(clock=FakeClock())
-        with tracer.span("a"):
-            with tracer.span("b"):
-                pass
-            with tracer.span("c"):
-                pass
-        root = tracer.roots[0]
-        assert [s.name for s in root.walk()] == ["a", "b", "c"]
-        as_dict = root.to_dict()
-        assert as_dict["name"] == "a"
-        assert [child["name"] for child in as_dict["children"]] == ["b", "c"]
-
-    def test_exception_still_closes_the_span(self):
-        tracer = Tracer(clock=FakeClock(auto_tick=0.1))
-        with pytest.raises(RuntimeError):
-            with tracer.span("doomed"):
-                raise RuntimeError("boom")
-        assert tracer.roots[0].end_s is not None
-        assert tracer.current_span() is None
-
-
 class TestMetricsWriteThrough:
     def test_count_gauge_observe(self):
         tracer = Tracer(clock=FakeClock())
@@ -123,24 +51,46 @@ class TestMetricsWriteThrough:
         assert tracer.metrics.histogram("repro_latency_ms").count == 1
 
 
+class TestOperatorAttribution:
+    def test_no_operator_label_before_any_call(self):
+        tracer = Tracer(clock=FakeClock())
+        assert tracer.current_operator_label() is None
+        assert tracer.enabled is True
+
+    def test_label_is_the_innermost_operator_class(self):
+        from repro.executor.iterator import ExecContext
+        from repro.executor.scan import RelationSource
+        from repro.relalg.relation import Relation
+
+        tracer = Tracer(clock=FakeClock())
+        ctx = ExecContext(tracer=tracer)
+        source = RelationSource(ctx, Relation.of_ints(("a",), [(1,)]))
+        tracer.operator_enter(source, "open")
+        assert tracer.current_operator_label() == "RelationSource"
+        tracer.operator_exit(source, "open")
+        assert tracer.current_operator_label() is None
+
+    def test_metrics_registry_is_created_by_default(self):
+        tracer = Tracer(clock=FakeClock())
+        tracer.count("repro_rows_total", 4)
+        assert tracer.metrics.value("repro_rows_total") == 4
+
+
 class TestNullTracer:
     def test_disabled_and_metricless(self):
         assert NULL_TRACER.enabled is False
         assert NULL_TRACER.metrics is None
 
-    def test_span_is_a_reusable_noop_context_manager(self):
-        first = NULL_TRACER.span("anything", detail=1)
-        second = NULL_TRACER.span("other")
-        assert first is second  # shared instance: zero allocation
-        with first as span:
-            assert span.annotate(rows=3) is span
-
     def test_all_operations_are_noops(self):
         tracer = NullTracer()
-        tracer.event("x")
         tracer.count("repro_x_total")
         tracer.gauge("repro_x", 1.0)
         tracer.observe("repro_x_ms", 1.0)
         tracer.operator_enter(object(), "open")
         tracer.operator_exit(object(), "open")
         assert tracer.metrics is None
+
+    def test_never_names_an_operator(self):
+        tracer = NullTracer()
+        tracer.operator_enter(object(), "next")
+        assert tracer.current_operator_label() is None

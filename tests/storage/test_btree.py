@@ -32,16 +32,25 @@ class TestBasics:
         with pytest.raises(BTreeError):
             tree.insert((1,), "b")
 
-    def test_insert_multi_allows_duplicates(self):
-        tree = BPlusTree(order=4)
-        tree.insert_multi((1,), "rid-a")
-        tree.insert_multi((1,), "rid-b")
-        values = [value for _, value in tree.range((1,), (1, "￿"))]
-        assert sorted(values) == ["rid-a", "rid-b"]
-
     def test_order_must_be_at_least_three(self):
         with pytest.raises(BTreeError):
             BPlusTree(order=2)
+
+    def test_rejected_duplicate_leaves_tree_unchanged(self):
+        tree = BPlusTree(order=4)
+        for key in range(10):
+            tree.insert((key,), key)
+        with pytest.raises(BTreeError):
+            tree.insert((5,), "again")
+        assert len(tree) == 10
+        assert tree.search((5,)) == 5
+        assert [v for _, v in tree.items()] == list(range(10))
+
+    def test_composite_keys_order_lexicographically(self):
+        tree = BPlusTree(order=4)
+        for key in [(2, 1), (1, 9), (1, 2), (2, 0)]:
+            tree.insert(key, key)
+        assert [k for k, _ in tree.items()] == [(1, 2), (1, 9), (2, 0), (2, 1)]
 
 
 class TestOrderingAndRange:
@@ -66,6 +75,23 @@ class TestOrderingAndRange:
         assert [v for _, v in tree.range(low=(7,))] == [7, 8, 9]
         assert [v for _, v in tree.range(high=(2,))] == [0, 1, 2]
 
+    def test_range_on_empty_tree(self):
+        tree = BPlusTree(order=4)
+        assert list(tree.range((1,), (5,))) == []
+
+    def test_inverted_bounds_yield_nothing(self):
+        tree = BPlusTree(order=4)
+        for key in range(10):
+            tree.insert((key,), key)
+        assert list(tree.range((6,), (3,))) == []
+
+    def test_range_crosses_leaf_chain(self):
+        tree = BPlusTree(order=3)
+        for key in range(30):
+            tree.insert((key,), key)
+        assert tree.height >= 3
+        assert [v for _, v in tree.range((4,), (25,))] == list(range(4, 26))
+
     def test_range_between_keys(self):
         tree = BPlusTree(order=4)
         for key in (0, 10, 20):
@@ -74,6 +100,24 @@ class TestOrderingAndRange:
 
 
 class TestSplitsAndHeight:
+    @pytest.mark.parametrize("order", [3, 4, 5, 64])
+    def test_random_insertions_stay_sorted(self, order):
+        tree = BPlusTree(order=order)
+        keys = list(range(200))
+        random.Random(order).shuffle(keys)
+        for key in keys:
+            tree.insert((key,), -key)
+        assert list(tree.items()) == [((i,), -i) for i in range(200)]
+        assert all(tree.search((i,)) == -i for i in range(200))
+
+    def test_single_leaf_until_first_split(self):
+        tree = BPlusTree(order=4)
+        for key in range(4):
+            tree.insert((key,), key)
+        assert tree.height == 1
+        tree.insert((4,), 4)
+        assert tree.height == 2
+
     def test_height_grows_with_size(self):
         tree = BPlusTree(order=4)
         for key in range(100):
@@ -88,82 +132,6 @@ class TestSplitsAndHeight:
         assert [key for key, _ in tree.items()] == [(i,) for i in range(64)]
 
 
-class TestDelete:
-    def test_delete_returns_value(self):
-        tree = BPlusTree(order=4)
-        tree.insert((1,), "one")
-        assert tree.delete((1,)) == "one"
-        assert len(tree) == 0
-        assert tree.search((1,)) is None
-
-    def test_delete_missing_rejected(self):
-        tree = BPlusTree(order=4)
-        with pytest.raises(BTreeError):
-            tree.delete((9,))
-
-    def test_delete_everything_in_random_order(self):
-        tree = BPlusTree(order=4)
-        keys = list(range(200))
-        rng = random.Random(2)
-        rng.shuffle(keys)
-        for key in keys:
-            tree.insert((key,), key)
-        rng.shuffle(keys)
-        for key in keys:
-            assert tree.delete((key,)) == key
-        assert len(tree) == 0
-        assert list(tree.items()) == []
-        assert tree.height == 1
-
-    def test_interleaved_insert_delete(self):
-        tree = BPlusTree(order=4)
-        model: dict[tuple, int] = {}
-        rng = random.Random(3)
-        for step in range(2000):
-            key = (rng.randrange(100),)
-            if key in model and rng.random() < 0.5:
-                assert tree.delete(key) == model.pop(key)
-            elif key not in model:
-                tree.insert(key, step)
-                model[key] = step
-        assert len(tree) == len(model)
-        assert dict(tree.items()) == model
-        assert [k for k, _ in tree.items()] == sorted(model)
-
-
-class TestBulkLoad:
-    def test_bulk_load_roundtrip(self):
-        items = [((i,), i * 10) for i in range(1000)]
-        tree = BPlusTree.bulk_load(items, order=8)
-        assert len(tree) == 1000
-        assert tree.search((500,)) == 5000
-        assert [key for key, _ in tree.items()] == [key for key, _ in items]
-
-    def test_bulk_load_empty(self):
-        tree = BPlusTree.bulk_load([], order=8)
-        assert len(tree) == 0
-
-    def test_bulk_load_single(self):
-        tree = BPlusTree.bulk_load([((1,), "x")], order=8)
-        assert tree.search((1,)) == "x"
-
-    def test_bulk_load_rejects_unsorted(self):
-        with pytest.raises(BTreeError):
-            BPlusTree.bulk_load([((2,), 0), ((1,), 0)], order=8)
-
-    def test_bulk_load_rejects_duplicates(self):
-        with pytest.raises(BTreeError):
-            BPlusTree.bulk_load([((1,), 0), ((1,), 0)], order=8)
-
-    def test_bulk_loaded_tree_is_mutable(self):
-        tree = BPlusTree.bulk_load([((i,), i) for i in range(100)], order=8)
-        tree.insert((1000,), "new")
-        tree.delete((50,))
-        assert tree.search((1000,)) == "new"
-        assert tree.search((50,)) is None
-        assert len(tree) == 100
-
-
 class TestMetering:
     def test_comparisons_charged(self):
         cpu = CpuCounters()
@@ -174,3 +142,19 @@ class TestMetering:
         before = cpu.comparisons
         tree.search((16,))
         assert cpu.comparisons > before
+
+    def test_bounded_range_charges_its_descent(self):
+        cpu = CpuCounters()
+        tree = BPlusTree(order=4, cpu=cpu)
+        for key in range(32):
+            tree.insert((key,), key)
+        before = cpu.comparisons
+        list(tree.range((10,), (12,)))
+        assert cpu.comparisons > before
+
+    def test_unmetered_tree_needs_no_counters(self):
+        tree = BPlusTree(order=4)
+        for key in range(32):
+            tree.insert((key,), key)
+        assert tree.cpu is None
+        assert tree.search((31,)) == 31

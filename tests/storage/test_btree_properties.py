@@ -71,17 +71,6 @@ class BTreeMachine(RuleBasedStateMachine):
             self.model[key] = value
 
     @rule(key=keys)
-    def delete(self, key):
-        if key in self.model:
-            assert self.tree.delete(key) == self.model.pop(key)
-        else:
-            try:
-                self.tree.delete(key)
-                raise AssertionError("deleting a missing key must raise")
-            except BTreeError:
-                pass
-
-    @rule(key=keys)
     def search(self, key):
         assert self.tree.search(key) == self.model.get(key)
 

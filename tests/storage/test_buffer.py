@@ -135,44 +135,6 @@ class TestEvictionAndWriteback:
         assert disk.stats.counters("d").writes == writes_after_discard
 
 
-class TestVirtualDevices:
-    def test_virtual_pages_never_touch_disk(self):
-        pool, disk = make_pool()
-        pool.create_virtual_device("v", 1024)
-        page_no, view = pool.new_page("v")
-        view[0] = 1
-        pool.unfix("v", page_no)
-        assert disk.stats.totals().transfers == 0
-        assert pool.is_virtual("v") and not pool.is_virtual("d")
-
-    def test_virtual_page_readable_while_buffered(self):
-        pool, _ = make_pool()
-        pool.create_virtual_device("v", 1024)
-        page_no, view = pool.new_page("v")
-        view[0] = 9
-        pool.unfix("v", page_no)
-        assert bytes(pool.fix("v", page_no)[:1]) == b"\x09"
-        pool.unfix("v", page_no)
-
-    def test_discarded_virtual_page_disappears(self):
-        pool, _ = make_pool()
-        pool.create_virtual_device("v", 1024)
-        page_no, _ = pool.new_page("v")
-        pool.unfix("v", page_no, discard=True)
-        with pytest.raises(BufferPoolError):
-            pool.fix("v", page_no)
-
-    def test_evicted_virtual_page_is_lost(self):
-        pool, _ = make_pool(pages=1, limit_pages=1)
-        pool.create_virtual_device("v", 1024)
-        page_no, _ = pool.new_page("v")
-        pool.unfix("v", page_no)
-        other, _ = pool.new_page("d")  # forces eviction of the virtual page
-        pool.unfix("d", other, dirty=True)
-        with pytest.raises(BufferPoolError):
-            pool.fix("v", page_no)
-
-
 class TestMaintenance:
     def test_flush_device_writes_dirty_frames(self):
         pool, disk = make_pool()

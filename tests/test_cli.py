@@ -14,6 +14,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["nonsense"])
 
+    def test_seed_is_a_subcommand_option_only(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--seed", "7", "table4"])
+        assert build_parser().parse_args(["serve", "--seed", "7"]).seed == 7
+
 
 class TestCommands:
     def test_figure2(self, capsys):
@@ -440,10 +445,10 @@ class TestServeCommand:
         assert payload["schema_version"] == 4
         assert payload["serve"]["untyped_failures"] == []
 
-    def test_global_seed_overrides_subcommand_default(self, capsys):
+    def test_seed_flag_reaches_the_report(self, capsys):
         import json as json_mod
 
-        assert main(["--seed", "9"] + self.SMALL + ["--json"]) == 0
+        assert main(self.SMALL + ["--seed", "9", "--json"]) == 0
         payload = json_mod.loads(capsys.readouterr().out)
         assert payload["seed"] == 9
 
