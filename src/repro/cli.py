@@ -25,6 +25,7 @@ import sys
 from typing import Sequence
 
 from repro.costmodel.advisor import DivisionEstimates, rank_strategies
+from repro.errors import ReproError
 from repro.experiments import table1, table2, table3, table4
 from repro.experiments.report import render_table
 
@@ -856,11 +857,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     ``BrokenPipeError`` is swallowed, stdout is redirected to devnull
     so the interpreter's exit-time flush cannot raise again, and the
     conventional ``128 + SIGPIPE`` exit code is returned.
+
+    Every typed :class:`~repro.errors.ReproError` that escapes a
+    handler is reported like an argument error: one ``repro: error:``
+    line on stderr and exit status 2, with no traceback.  Most are bad
+    option values the library rejects, such as ``--clients 0``, but
+    runtime invariant failures (a service that drains dirty, a
+    scheduler deadlock) take the same path; only untyped exceptions
+    keep their traceback.  Checks with their own exit code (``chaos``,
+    ``serve --replay-check``) raise ``SystemExit``, which passes through.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         args.handler(args)
+    except ReproError as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         try:
             devnull = os.open(os.devnull, os.O_WRONLY)

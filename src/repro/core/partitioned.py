@@ -114,9 +114,7 @@ def quotient_partitioned_division(
     if partitions <= 0:
         raise PartitioningError(f"partitions must be positive, got {partitions}")
     ctx = dividend.ctx
-    quotient_names, _divisor_names = division_attribute_split(
-        Relation(dividend.schema), Relation(divisor.schema)
-    )
+    quotient_names, _divisor_names = division_attribute_split(dividend.schema, divisor.schema)
     # The divisor table must survive all phases, so the divisor is
     # drained once and replayed per phase from memory.
     divisor.open()
@@ -211,9 +209,7 @@ def divisor_partitioned_division(
     if partitions <= 0:
         raise PartitioningError(f"partitions must be positive, got {partitions}")
     ctx = dividend.ctx
-    quotient_names, divisor_names = division_attribute_split(
-        Relation(dividend.schema), Relation(divisor.schema)
-    )
+    quotient_names, divisor_names = division_attribute_split(dividend.schema, divisor.schema)
     divisor.open()
     try:
         divisor_rows = list(divisor)
@@ -296,9 +292,7 @@ def combined_partitioned_division(
     if quotient_partitions <= 0 or divisor_partitions <= 0:
         raise PartitioningError("partition counts must be positive")
     ctx = dividend.ctx
-    quotient_names, _divisor_names = division_attribute_split(
-        Relation(dividend.schema), Relation(divisor.schema)
-    )
+    quotient_names, _divisor_names = division_attribute_split(dividend.schema, divisor.schema)
     divisor.open()
     try:
         divisor_relation = Relation(divisor.schema, list(divisor), name="divisor")

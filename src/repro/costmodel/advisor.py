@@ -198,11 +198,6 @@ class AdvisorChoice:
     note: str
     ranking: tuple[RankedStrategy, ...]
 
-    @property
-    def winner(self) -> RankedStrategy:
-        """The ranked entry the choice was taken from."""
-        return self.ranking[0]
-
 
 def advise(
     estimates: DivisionEstimates,

@@ -59,7 +59,7 @@ class DiskFaultError(DiskError):
 class ChecksumError(StorageError):
     """A page image failed its CRC32 verification on read.
 
-    Raised by :class:`repro.storage.diskbase.PagedDiskBase` when the
+    Raised by :class:`repro.storage.disk.SimulatedDisk` when the
     bytes coming back from the device do not match the checksum
     recorded when the page was last written -- the defense that turns
     silent corruption (bit flips, torn writes) into a typed error.
@@ -76,10 +76,6 @@ class BufferPoolError(StorageError):
 
 class PageError(StorageError):
     """A slotted-page operation failed (record too large, bad slot...)."""
-
-
-class RecordNotFoundError(StorageError):
-    """A record identifier does not resolve to a live record."""
 
 
 class MemoryPoolError(StorageError):

@@ -33,18 +33,16 @@ class HashDistinct(QueryIterator):
     swallowed), but its memory grows with the number of distinct rows.
     """
 
-    def __init__(self, input_op: QueryIterator, expected_distinct: int = 0) -> None:
+    def __init__(self, input_op: QueryIterator) -> None:
         super().__init__(input_op.ctx, input_op.schema)
         self.input_op = input_op
-        self.expected_distinct = expected_distinct
         self._table: ChainedHashTable | None = None
 
     def _open(self) -> None:
-        expected = self.expected_distinct or 1024
         self._table = ChainedHashTable(
             self.ctx.cpu,
             self.ctx.memory,
-            bucket_count=ChainedHashTable.buckets_for(expected),
+            bucket_count=ChainedHashTable.buckets_for(1024),
             entry_bytes=self.schema.record_size,
             tag="hash-distinct",
             tracer=self.ctx.tracer,

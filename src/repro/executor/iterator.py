@@ -56,15 +56,9 @@ class ExecContext:
             (:data:`repro.storage.stats.NULL_IO_TRACE`).  When both a
             recording tracer and an event log are supplied, each event
             is stamped with the innermost executing operator.
-        fault_injector: Optional
-            :class:`repro.faults.injector.FaultInjector`; when given it
-            is threaded through all three devices and the memory pool
-            (see :meth:`attach_fault_injector`).  ``None`` (the
-            default) leaves every fault hook on its zero-cost path.
-        retry_policy: Optional
-            :class:`repro.faults.retry.RetryPolicy` governing how the
-            devices retry transient faults; defaults to
-            :data:`repro.faults.retry.DEFAULT_RETRY_POLICY`.
+
+    Faults and the devices' retry policy are attached after
+    construction, with :meth:`attach_fault_injector`.
 
     The context owns three devices:
 
@@ -78,11 +72,8 @@ class ExecContext:
         self,
         config: StorageConfig | None = None,
         memory_budget: int | None = None,
-        storage_dir: str | None = None,
         tracer=None,
         io_trace=None,
-        fault_injector=None,
-        retry_policy=None,
     ) -> None:
         self.config = config or StorageConfig()
         #: Observability hook (repro.obs): the shared no-op NULL_TRACER
@@ -105,40 +96,21 @@ class ExecContext:
         self.cpu = CpuCounters()
         self.pool = BufferPool(self.config)
         self.memory = MemoryPool(memory_budget)
-        if storage_dir is None:
-            # The paper's main-memory disk simulation.
-            make_disk = lambda name, page_size: SimulatedDisk(
-                name, page_size, self.io_stats
-            )
-        else:
-            # The paper's alternative: "simulates a disk using a UNIX
-            # file"; one backing file per device under storage_dir.
-            import os
-
-            from repro.storage.filedisk import FileBackedDisk
-
-            os.makedirs(storage_dir, exist_ok=True)
-            make_disk = lambda name, page_size: FileBackedDisk(
-                name,
-                page_size,
-                os.path.join(storage_dir, f"{name}.disk"),
-                self.io_stats,
-            )
         self.data_disk = self.pool.register_device(
-            make_disk("data", self.config.page_size)
+            SimulatedDisk("data", self.config.page_size, self.io_stats)
         )
         self.temp_disk = self.pool.register_device(
-            make_disk("temp", self.config.page_size)
+            SimulatedDisk("temp", self.config.page_size, self.io_stats)
         )
         self.run_disk = self.pool.register_device(
-            make_disk("runs", self.config.sort_run_page_size)
+            SimulatedDisk("runs", self.config.sort_run_page_size, self.io_stats)
         )
         self._temp_names = itertools.count()
         #: Fault-injection wiring (repro.faults): None by default, so
         #: every hook is a single ``is None`` test.  One BackoffClock
         #: is shared by all devices so retry waits aggregate per run.
         self.backoff_clock = BackoffClock()
-        self.attach_fault_injector(fault_injector, retry_policy)
+        self.attach_fault_injector(None)
 
     def attach_fault_injector(self, injector, retry_policy=None) -> None:
         """Thread one :class:`~repro.faults.injector.FaultInjector`
@@ -162,7 +134,7 @@ class ExecContext:
         }
 
     def close(self) -> None:
-        """Release the context's devices (closes backing files)."""
+        """Release the context's devices."""
         for disk in (self.data_disk, self.temp_disk, self.run_disk):
             disk.close()
 

@@ -9,7 +9,7 @@ The package has three parts:
   is recorded in a replayable schedule.
 * :mod:`repro.faults.retry` -- the :class:`RetryPolicy` /
   :class:`BackoffClock` pair used by
-  :class:`repro.storage.diskbase.PagedDiskBase` to retry transient
+  :class:`repro.storage.disk.SimulatedDisk` to retry transient
   faults with capped exponential backoff on a deterministic model
   clock.
 * :mod:`repro.faults.chaos` -- the chaos campaign harness (randomized

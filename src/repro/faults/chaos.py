@@ -225,14 +225,13 @@ def run_chaos_query(
         config=config,
         memory_budget=memory_budget,
         io_trace=trace,
-        retry_policy=retry_policy,
     )
     try:
         catalog = Catalog(ctx.pool, ctx.data_disk)
         stored_dividend = catalog.store(dividend, "chaos_dividend", cold=True)
         stored_divisor = catalog.store(divisor, "chaos_divisor", cold=True)
         injector = FaultInjector(rules, seed=seed)
-        ctx.attach_fault_injector(injector)
+        ctx.attach_fault_injector(injector, retry_policy)
         node = DivideNode(
             StoredSourceNode(stored_dividend), StoredSourceNode(stored_divisor)
         )

@@ -2,7 +2,7 @@
 
 Transient device faults (and checksum failures, which a re-read of an
 intact page image heals) are retried by
-:class:`repro.storage.diskbase.PagedDiskBase` under a
+:class:`repro.storage.disk.SimulatedDisk` under a
 :class:`RetryPolicy`.  Each retried transfer is re-issued through the
 normal accounting path, so its seeks/latency/transfer milliseconds land
 in the Table 3 cost meters exactly like any other physical I/O -- the
@@ -12,7 +12,7 @@ ones.
 
 The backoff *wait* is model time, not I/O: it accumulates on an
 injectable :class:`BackoffClock` (and on the device's
-:class:`~repro.storage.diskbase.DeviceFaultStats`), so tests can assert
+:class:`~repro.storage.disk.DeviceFaultStats`), so tests can assert
 exact deterministic backoff schedules and the chaos CLI can report how
 long a run spent waiting out transient faults.
 """
@@ -59,10 +59,6 @@ class RetryPolicy:
             raise FaultConfigError("failure_number is 1-based")
         wait = self.base_backoff_ms * (self.multiplier ** (failure_number - 1))
         return min(self.max_backoff_ms, wait)
-
-    def total_backoff_ms(self, failures: int) -> float:
-        """Backoff accumulated over ``failures`` consecutive failures."""
-        return sum(self.backoff_ms(n) for n in range(1, failures + 1))
 
 
 #: The stack's default policy: up to 4 attempts, 1/2/4 ms backoff.

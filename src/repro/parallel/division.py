@@ -39,7 +39,7 @@ from repro.costmodel.units import CostUnits, PAPER_UNITS
 from repro.executor.iterator import ExecContext, run_to_relation
 from repro.executor.scan import RelationSource
 from repro.parallel.bitvector import BitVectorFilter
-from repro.parallel.network import Interconnect, NetworkWeights
+from repro.parallel.network import Interconnect
 from repro.parallel.partitioning import round_robin
 from repro.parallel.processor import Cluster
 from repro.relalg.algebra import division_attribute_split
@@ -90,7 +90,6 @@ def parallel_hash_division(
     strategy: str = "quotient",
     bit_vector_bits: int | None = None,
     memory_budget_per_node: int | None = None,
-    network_weights: NetworkWeights | None = None,
     units: CostUnits = PAPER_UNITS,
     name: str = "quotient",
     collection: str = "central",
@@ -107,7 +106,6 @@ def parallel_hash_division(
         memory_budget_per_node: Per-node memory pool budget; lets tests
             demonstrate that partitioning fits divisions whose tables
             overflow a single node.
-        network_weights: Interconnect pricing.
         units: CPU unit costs for pricing local work.
         collection: For ``strategy="divisor"``: ``"central"`` ships all
             tagged quotient clusters to one collection site;
@@ -127,9 +125,9 @@ def parallel_hash_division(
         raise PartitioningError(f"unknown collection mode {collection!r}")
     if processors <= 0:
         raise PartitioningError(f"processors must be positive, got {processors}")
-    quotient_names, divisor_names = division_attribute_split(dividend, divisor)
+    quotient_names, divisor_names = division_attribute_split(dividend.schema, divisor.schema)
     cluster = Cluster.build(processors, memory_budget_per_node=memory_budget_per_node)
-    network = Interconnect(network_weights, injector=injector)
+    network = Interconnect(injector=injector)
     dividend_fragments = round_robin(dividend.rows, processors)
     divisor_fragments = round_robin(divisor.rows, processors)
     runner = _QuotientStrategy if strategy == "quotient" else _DivisorStrategy

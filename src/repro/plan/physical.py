@@ -79,9 +79,7 @@ def build_division_operator(
             produce duplicates and naive division *requires*
             duplicate-free sorted inputs.
     """
-    quotient_names, divisor_names = division_attribute_split(
-        Relation(dividend.schema), Relation(divisor.schema)
-    )
+    quotient_names, divisor_names = division_attribute_split(dividend.schema, divisor.schema)
     if strategy == "naive":
         sorted_dividend = ExternalSort(
             dividend,

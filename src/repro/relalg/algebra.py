@@ -110,7 +110,7 @@ def divide_set_semantics(
     projections of the dividend, the standard convention: the
     universal quantifier over an empty set is vacuously true.
     """
-    quotient_names, divisor_names = division_attribute_split(dividend, divisor)
+    quotient_names, divisor_names = division_attribute_split(dividend.schema, divisor.schema)
     quotient_of = projector(dividend.schema, quotient_names)
     divisor_of = projector(dividend.schema, divisor_names)
     required = {tuple(row) for row in divisor}
@@ -146,7 +146,7 @@ def divide_by_identity(
     attribute-for-attribute, so the product is re-ordered into the
     dividend's attribute order before subtracting.
     """
-    quotient_names, divisor_names = division_attribute_split(dividend, divisor)
+    quotient_names, divisor_names = division_attribute_split(dividend.schema, divisor.schema)
     candidates = project(dividend, quotient_names, distinct=True)
     divisor_distinct = Relation(
         dividend.schema.project(divisor_names), dict.fromkeys(divisor)
@@ -160,9 +160,12 @@ def divide_by_identity(
 
 
 def division_attribute_split(
-    dividend: Relation, divisor: Relation
+    dividend: Schema, divisor: Schema
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Validate a division and split the dividend attributes.
+
+    Takes the two schemas, so plans and operators can call it before
+    any tuple exists.
 
     Returns ``(quotient_names, divisor_names)`` where ``divisor_names``
     are the divisor's attributes (which must all appear in the
@@ -173,8 +176,8 @@ def division_attribute_split(
         DivisionError: if the divisor attributes are not a non-empty
             proper subset of the dividend attributes.
     """
-    divisor_names = divisor.schema.names
-    dividend_names = dividend.schema.names
+    divisor_names = divisor.names
+    dividend_names = dividend.names
     missing = [n for n in divisor_names if n not in dividend_names]
     if missing:
         raise DivisionError(

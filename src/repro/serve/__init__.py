@@ -37,7 +37,6 @@ from repro.serve.scheduler import (
     Wait,
 )
 from repro.serve.service import (
-    DeleteRequest,
     InsertRequest,
     QueryRequest,
     QueryService,
@@ -61,7 +60,6 @@ __all__ = [
     "TaskState",
     "VirtualClock",
     "Wait",
-    "DeleteRequest",
     "InsertRequest",
     "QueryRequest",
     "QueryService",

@@ -389,7 +389,7 @@ def _build_report(
         shed=sum(1 for r in outcomes if r.outcome == "shed"),
         errors=sum(1 for r in outcomes if r.outcome == "error"),
         queries_ok=sum(1 for r in ok if r.kind == "query"),
-        updates_ok=sum(1 for r in ok if r.kind in ("insert", "delete")),
+        updates_ok=sum(1 for r in ok if r.kind == "insert"),
         cached_results=sum(1 for r in outcomes if r.cached),
         plan_cache_hits=sum(1 for r in outcomes if r.plan_cached),
         fallbacks=sum(1 for r in outcomes if r.fell_back),

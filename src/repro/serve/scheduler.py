@@ -43,6 +43,11 @@ from repro.errors import (
     SchedulerError,
 )
 
+#: Fixed dispatch overhead (model ms) charged per step on top of the
+#: task's yielded cost -- guarantees time advances even through
+#: zero-cost steps, so deadlines always fire.
+QUANTUM_MS = 0.01
+
 
 class VirtualClock:
     """Deterministic model-time clock, in fractional milliseconds.
@@ -134,21 +139,10 @@ class CooperativeScheduler:
             costs => same interleaving, same virtual timestamps.
         clock: Injectable :class:`VirtualClock` (shared with the
             service so grant-wait and latency measurements agree).
-        quantum_ms: Fixed dispatch overhead charged per step on top of
-            the task's yielded cost -- guarantees time advances even
-            through zero-cost steps, so deadlines always fire.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        clock: VirtualClock | None = None,
-        quantum_ms: float = 0.01,
-    ) -> None:
-        if quantum_ms <= 0:
-            raise SchedulerError("quantum_ms must be positive")
+    def __init__(self, seed: int = 0, clock: VirtualClock | None = None) -> None:
         self.clock = clock or VirtualClock()
-        self.quantum_ms = quantum_ms
         self.seed = seed
         self._rng = random.Random(seed)
         self.tasks: list[Task] = []
@@ -268,23 +262,23 @@ class CooperativeScheduler:
                 task._started = True
                 yielded = next(task.gen)
         except StopIteration as stop:
-            self.clock.advance(self.quantum_ms)
+            self.clock.advance(QUANTUM_MS)
             self._finish(task, stop.value)
             return
         except (QueryTimeoutError, QueryCancelledError) as exc:
             # The typed error unwound the generator's cleanup path and
             # surfaced -- the normal way a timeout/cancel terminates.
-            self.clock.advance(self.quantum_ms)
+            self.clock.advance(QUANTUM_MS)
             self._fail(task, exc)
             return
         except BaseException as exc:  # noqa: BLE001 - recorded, re-raised by caller policy
-            self.clock.advance(self.quantum_ms)
+            self.clock.advance(QUANTUM_MS)
             self._fail(task, exc)
             return
         if isinstance(yielded, Wait):
             task.state = TaskState.PARKED
             task.wait = yielded
-            self.clock.advance(self.quantum_ms)
+            self.clock.advance(QUANTUM_MS)
             self.trace.append((task.seq, task.steps, f"park:{yielded.reason}"))
         else:
             cost = float(yielded) if yielded is not None else 0.0
@@ -294,7 +288,7 @@ class CooperativeScheduler:
                     SchedulerError(f"{task.name}: yielded negative cost {cost}"),
                 )
                 return
-            self.clock.advance(cost + self.quantum_ms)
+            self.clock.advance(cost + QUANTUM_MS)
 
     def run_until_complete(self) -> list[Task]:
         """Drive every task to DONE/FAILED; returns the task list.

@@ -35,7 +35,7 @@ The service allocates nothing on the single-query path: it is a layer
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterable, Sequence
+from typing import Generator, Iterable, Sequence
 
 from repro.costmodel.advisor import advise
 from repro.costmodel.units import PAPER_UNITS
@@ -67,6 +67,9 @@ from repro.storage.catalog import Catalog
 
 #: Histogram buckets for request latency in model milliseconds.
 LATENCY_BUCKETS = (0.1, 1.0, 10.0, 100.0, 1_000.0, 10_000.0, 100_000.0)
+
+#: LRU capacity of the plan cache and of the result cache.
+CACHE_ENTRIES = 64
 
 
 # -- table locks -------------------------------------------------------
@@ -195,18 +198,7 @@ class InsertRequest:
     rows: tuple
 
 
-@dataclass(frozen=True)
-class DeleteRequest:
-    """Delete rows of ``table`` failing ``keep(row)``."""
-
-    table: str
-    keep: Callable
-
-    def __repr__(self) -> str:  # keep outcomes reprs deterministic
-        return f"DeleteRequest(table={self.table!r})"
-
-
-Request = "QueryRequest | InsertRequest | DeleteRequest"
+Request = "QueryRequest | InsertRequest"
 
 
 @dataclass
@@ -227,7 +219,7 @@ class RequestOutcome:
 
     client: str
     index: int
-    kind: str  # "query" | "insert" | "delete"
+    kind: str  # "query" | "insert"
     tables: tuple[str, ...]
     submitted_ms: float
     outcome: str = "pending"  # ok|timeout|cancelled|shed|error|pending
@@ -270,10 +262,9 @@ class ServiceConfig:
         rows_per_step: Cooperative quantum: output tuples produced per
             scheduler step (stop-and-go phases like sort still run
             within one step).
-        quantum_ms: Fixed dispatch cost per scheduler step.
         max_waiters: Admission wait-queue bound; beyond it, shed.
-        plan_cache / result_cache: Enable the two caches.
-        plan_cache_entries / result_cache_entries: LRU capacities.
+        plan_cache / result_cache: Enable the two caches (each an LRU
+            of :data:`CACHE_ENTRIES` entries).
         default_deadline_ms: Per-request deadline applied by
             :meth:`QueryService.submit_script` when the script does not
             override it; ``None`` = no deadline.
@@ -285,12 +276,9 @@ class ServiceConfig:
 
     seed: int = 0
     rows_per_step: int = 64
-    quantum_ms: float = 0.01
     max_waiters: int = 16
     plan_cache: bool = True
     result_cache: bool = True
-    plan_cache_entries: int = 64
-    result_cache_entries: int = 64
     default_deadline_ms: float | None = None
     track_oracle: bool = False
 
@@ -319,11 +307,7 @@ class QueryService:
         self.config = config or ServiceConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.clock = VirtualClock()
-        self.scheduler = CooperativeScheduler(
-            seed=self.config.seed,
-            clock=self.clock,
-            quantum_ms=self.config.quantum_ms,
-        )
+        self.scheduler = CooperativeScheduler(seed=self.config.seed, clock=self.clock)
         self.admission = AdmissionController(
             ctx.memory,
             self.clock,
@@ -332,16 +316,12 @@ class QueryService:
         )
         self.locks = TableLockManager()
         self.plan_cache: VersionedCache | None = (
-            VersionedCache(
-                "plan", self.config.plan_cache_entries, metrics=self.metrics
-            )
+            VersionedCache("plan", CACHE_ENTRIES, metrics=self.metrics)
             if self.config.plan_cache
             else None
         )
         self.result_cache: VersionedCache | None = (
-            VersionedCache(
-                "result", self.config.result_cache_entries, metrics=self.metrics
-            )
+            VersionedCache("result", CACHE_ENTRIES, metrics=self.metrics)
             if self.config.result_cache
             else None
         )
@@ -398,26 +378,6 @@ class QueryService:
             gen=self._division_request(rec, dividend, divisor),
             name=f"{client}/q{rec.index}",
             deadline_ms=absolute,
-        )
-
-    def submit_insert(
-        self, table: str, rows: Iterable, client: str = "client"
-    ) -> Task:
-        """Queue an append to a stored relation (exclusive lock)."""
-        rec = self._new_outcome(client, "insert", (table,))
-        return self.scheduler.spawn(
-            gen=self._update_request(rec, table, rows=tuple(rows)),
-            name=f"{client}/u{rec.index}",
-        )
-
-    def submit_delete(
-        self, table: str, keep: Callable, client: str = "client"
-    ) -> Task:
-        """Queue a predicate delete (keep rows passing ``keep``)."""
-        rec = self._new_outcome(client, "delete", (table,))
-        return self.scheduler.spawn(
-            gen=self._update_request(rec, table, keep=keep),
-            name=f"{client}/u{rec.index}",
         )
 
     def submit_script(
@@ -683,11 +643,7 @@ class QueryService:
     # -- the update path -----------------------------------------------
 
     def _update_request(
-        self,
-        rec: RequestOutcome,
-        table: str,
-        rows: tuple | None = None,
-        keep: Callable | None = None,
+        self, rec: RequestOutcome, table: str, rows: tuple
     ) -> Generator:
         lock = self.locks.request((table,), "exclusive")
         try:
@@ -695,16 +651,9 @@ class QueryService:
                 yield Wait("lock", lambda: self.locks.can_grant(lock))
             io_before = self.ctx.io_cost_ms()
             try:
-                if rows is not None:
-                    version = self.catalog.insert_rows(table, rows)
-                    if self.config.track_oracle and table in self._shadow:
-                        self._shadow[table].extend(rows)
-                else:
-                    deleted, version = self.catalog.delete_rows(table, keep)
-                    if self.config.track_oracle and table in self._shadow:
-                        self._shadow[table] = [
-                            r for r in self._shadow[table] if keep(r)
-                        ]
+                version = self.catalog.insert_rows(table, rows)
+                if self.config.track_oracle and table in self._shadow:
+                    self._shadow[table].extend(rows)
             except ReproError:
                 # The write may have partially applied: the catalog
                 # already bumped the version (cache safety), but the
@@ -745,14 +694,7 @@ class QueryService:
                     )
                 elif isinstance(request, InsertRequest):
                     rec = self._new_outcome(client, "insert", (request.table,))
-                    yield from self._update_request(
-                        rec, request.table, rows=request.rows
-                    )
-                elif isinstance(request, DeleteRequest):
-                    rec = self._new_outcome(client, "delete", (request.table,))
-                    yield from self._update_request(
-                        rec, request.table, keep=request.keep
-                    )
+                    yield from self._update_request(rec, request.table, request.rows)
                 else:
                     raise ServeError(f"unknown request {request!r}")
                 completed += 1

@@ -3,7 +3,7 @@
 The original experiments ran "on top of a record-oriented file system
 developed at the Oregon Graduate Center using experiences from WiSS and
 GAMMA. It simulates a disk using a UNIX file or main memory."  This
-package rebuilds those services:
+package rebuilds those services, with main memory as the one backing:
 
 * :mod:`repro.storage.disk` -- a page-addressed simulated disk that
   counts seeks, transfers, and bytes moved,
@@ -12,8 +12,8 @@ package rebuilds those services:
 * :mod:`repro.storage.buffer` -- a fix/unfix buffer manager with LRU
   replacement and dynamic growth,
 * :mod:`repro.storage.page` -- slotted pages,
-* :mod:`repro.storage.heapfile` -- extent-based record files with
-  record identifiers and sequential scans,
+* :mod:`repro.storage.heapfile` -- extent-based, append-only record
+  files with record identifiers and sequential scans,
 * :mod:`repro.storage.btree` -- the B+-tree behind secondary indexes,
 * :mod:`repro.storage.memory` -- the main-memory pool that hash tables,
   bit maps, and chain elements are charged against,
@@ -24,7 +24,6 @@ package rebuilds those services:
 
 from repro.storage.config import StorageConfig
 from repro.storage.disk import SimulatedDisk
-from repro.storage.filedisk import FileBackedDisk
 from repro.storage.stats import DeviceCounters, IoStatistics, IoWeights
 from repro.storage.page import SlottedPage
 from repro.storage.buffer import BufferPool
@@ -37,7 +36,6 @@ from repro.storage.catalog import Catalog, StoredRelation
 __all__ = [
     "StorageConfig",
     "SimulatedDisk",
-    "FileBackedDisk",
     "IoWeights",
     "IoStatistics",
     "DeviceCounters",

@@ -5,7 +5,7 @@ The paper's file system lists B+-trees among its main services
 index -- every algorithm scans its inputs sequentially -- but the
 index semi-join mentioned for the aggregation strategies
 (Section 2.2.1) needs one.  The index is built once and then only
-probed, so the tree supports insertion, point search and range scans.
+probed, so the tree supports insertion and range scans.
 
 This is a classic order-``n`` B+-tree: interior nodes hold separator
 keys and children; leaves hold (key, value) pairs and are chained for
@@ -84,9 +84,6 @@ class BPlusTree:
         """Levels in the tree (1 = a single leaf)."""
         return self._height
 
-    def __contains__(self, key: Any) -> bool:
-        return self.search(key) is not None
-
     # -- search ------------------------------------------------------------
 
     def _charge(self, comparisons: int) -> None:
@@ -103,15 +100,6 @@ class BPlusTree:
             index = bisect.bisect_right(node.keys, key)
             node = node.children[index]
         return node  # type: ignore[return-value]
-
-    def search(self, key: Any) -> Any | None:
-        """Return the value stored under ``key``, or ``None``."""
-        leaf = self._find_leaf(key)
-        self._charge(self._bisect_cost(len(leaf.keys)))
-        index = bisect.bisect_left(leaf.keys, key)
-        if index < len(leaf.keys) and leaf.keys[index] == key:
-            return leaf.values[index]
-        return None
 
     def range(self, low: Any = None, high: Any = None) -> Iterator[tuple[Any, Any]]:
         """Iterate ``(key, value)`` for ``low <= key <= high`` in order.
@@ -134,10 +122,6 @@ class BPlusTree:
                 index += 1
             leaf = leaf.next
             index = 0
-
-    def items(self) -> Iterator[tuple[Any, Any]]:
-        """All entries in key order."""
-        return self.range()
 
     def _leftmost_leaf(self) -> _Leaf:
         node = self._root

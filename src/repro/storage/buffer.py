@@ -4,9 +4,10 @@ Models the paper's buffer pool (Section 5.1):
 
 * pages are *fixed* in the pool and accessed by memory address (here, a
   ``memoryview``); copying is avoided,
-* an *unfix* call indicates whether the page can be replaced
-  immediately (``discard=True``) or should be inserted into an LRU
-  list,
+* in the paper an *unfix* call indicates whether the page can be
+  replaced immediately or should be inserted into an LRU list; no
+  operator here asks for immediate replacement, so every unfixed page
+  joins the LRU list,
 * the pool "grows dynamically until the main memory pool is exhausted,
   and shrinks as buffer slots are unfixed": fixing more pages than the
   configured buffer size is allowed up to ``memory_limit``; once pages
@@ -101,20 +102,6 @@ class BufferPool:
 
     # -- page lifecycle --------------------------------------------------
 
-    def new_page(self, device: str) -> tuple[int, memoryview]:
-        """Allocate a fresh page on ``device``, fixed and zeroed.
-
-        Returns ``(page_no, writable view)``.  The frame starts dirty so
-        it reaches the disk on eviction or flush.
-        """
-        page_size = self.page_size_of(device)
-        page_no = self._disks[device].allocate_page()
-        frame = self._install(device, page_no, bytearray(page_size))
-        frame.dirty = True
-        frame.fix_count = 1
-        self.stats.fixes += 1
-        return page_no, memoryview(frame.data)
-
     def fix_new(self, device: str, page_no: int) -> memoryview:
         """Fix a freshly allocated disk page without reading it.
 
@@ -152,16 +139,13 @@ class BufferPool:
         frame.fix_count = 1
         return memoryview(frame.data)
 
-    def unfix(self, device: str, page_no: int, dirty: bool = False, discard: bool = False) -> None:
+    def unfix(self, device: str, page_no: int, dirty: bool = False) -> None:
         """Release one fix on a page.
 
         Args:
             device: Device name.
             page_no: Page number.
             dirty: Mark the frame modified so eviction writes it back.
-            discard: Hint that the page "can be replaced immediately"
-                (Section 5.1): once its fix count reaches zero the frame
-                is dropped at once, written back first if dirty.
         """
         key = (device, page_no)
         frame = self._frames.get(key)
@@ -180,10 +164,7 @@ class BufferPool:
         frame.fix_count -= 1
         if frame.fix_count > 0:
             return
-        if discard:
-            self._drop(key, frame)
-        else:
-            self._lru[key] = None
+        self._lru[key] = None
         self._shrink_to_target()
 
     # -- maintenance ---------------------------------------------------------
@@ -214,14 +195,13 @@ class BufferPool:
         self._lru.pop(key, None)
         self._bytes_in_use -= len(frame.data)
 
-    def drop_device_pages(self, device: str, discard_dirty: bool = False) -> None:
+    def drop_device_pages(self, device: str) -> None:
         """Evict every unfixed frame of ``device`` (a cache drop).
 
         Dirty frames are written back first so no data is lost -- this
         is how experiments cool the cache between setup and
-        measurement.  Pass ``discard_dirty=True`` only when the device's
-        buffered contents are known dead (per-page dead-data release for
-        files being destroyed uses :meth:`forget_page` instead).
+        measurement.  Dead data of a destroyed file is released page by
+        page with :meth:`forget_page` instead.
         """
         victims = [
             key
@@ -232,7 +212,7 @@ class BufferPool:
             frame = self._frames.pop(key)
             self._lru.pop(key, None)
             self._bytes_in_use -= len(frame.data)
-            if frame.dirty and not discard_dirty:
+            if frame.dirty:
                 self._disks[device].write_page(key[1], frame.data)
                 self.stats.writebacks += 1
 
@@ -264,14 +244,10 @@ class BufferPool:
     def _evict_one(self) -> None:
         key, _ = self._lru.popitem(last=False)
         frame = self._frames[key]
-        self._drop(key, frame)
-        self.stats.evictions += 1
-
-    def _drop(self, key: PageKey, frame: _Frame) -> None:
-        device, page_no = key
         if frame.dirty:
+            device, page_no = key
             self._disks[device].write_page(page_no, frame.data)
             self.stats.writebacks += 1
-        self._frames.pop(key, None)
-        self._lru.pop(key, None)
+        del self._frames[key]
         self._bytes_in_use -= len(frame.data)
+        self.stats.evictions += 1

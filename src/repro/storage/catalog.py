@@ -26,8 +26,8 @@ class StoredRelation:
 
     ``version`` is a **monotonic write counter**: it starts at 0 when
     the relation is created and is bumped by every catalog-mediated
-    write (the initial bulk load, :meth:`Catalog.insert_rows`,
-    :meth:`Catalog.delete_rows`).  The serve layer's result cache keys
+    write (the initial bulk load and :meth:`Catalog.insert_rows`;
+    stored relations are append-only).  The serve layer's result cache keys
     cached quotients by the versions of every input relation, so a
     cached answer can *only* be returned while the inputs are
     byte-for-byte the relations it was computed from -- staleness is
@@ -144,10 +144,10 @@ class Catalog:
     def insert_rows(self, name: str, rows: Iterable[Row]) -> int:
         """Append tuples to a stored relation; bumps its version.
 
-        Returns the new version.  This (with :meth:`delete_rows`) is
-        the *versioned* write path: writes that bypass the catalog and
-        mutate the heap file directly do not participate in the serve
-        layer's cache-invalidation contract.
+        Returns the new version.  This is the *versioned* write path:
+        writes that bypass the catalog and mutate the heap file directly
+        do not participate in the serve layer's cache-invalidation
+        contract.
 
         The version is bumped **even when the write fails** (a device
         fault mid-append may have applied a prefix of the rows): a
@@ -162,32 +162,3 @@ class Catalog:
         finally:
             stored.bump_version()
         return stored.version
-
-    def delete_rows(self, name: str, keep) -> tuple[int, int]:
-        """Delete every record whose decoded row fails ``keep(row)``.
-
-        Returns ``(deleted_count, new_version)``.  The version is
-        bumped even when nothing matched: the *write happened*, and a
-        spurious bump only costs a cache miss -- the invariant
-        ``same versions => same contents`` must never depend on
-        predicate reasoning.
-        """
-        stored = self.get(name)
-        deleted = 0
-        try:
-            victims = [
-                rid for rid, row in stored.scan_rows() if not keep(row)
-            ]
-            for rid in victims:
-                stored.file.delete(rid)
-                deleted += 1
-        finally:
-            # Bump even on a failed/partial delete: see insert_rows.
-            stored.bump_version()
-        return deleted, stored.version
-
-    def drop(self, name: str) -> None:
-        """Delete a stored relation and free its pages."""
-        stored = self.get(name)
-        stored.file.destroy()
-        del self._relations[name]

@@ -1,11 +1,13 @@
 """Extent-based record files with record identifiers and scans.
 
-A :class:`HeapFile` is an append-oriented sequence of slotted pages on
-one device.  Pages are allocated in physically contiguous *extents*
-(the paper's file system is "extent-based", Section 5.1), so a full
-sequential scan pays one seek per extent rather than one per page --
-the property that lets hash-based algorithms benefit from "efficient
-read-ahead of physically clustered or contiguous files" (Section 3.3).
+A :class:`HeapFile` is an append-only sequence of slotted pages on one
+device: records are never updated or deleted in place, and a whole file
+is dropped at once with :meth:`HeapFile.destroy`.  Pages are allocated
+in physically contiguous *extents* (the paper's file system is
+"extent-based", Section 5.1), so a full sequential scan pays one seek
+per extent rather than one per page -- the property that lets
+hash-based algorithms benefit from "efficient read-ahead of physically
+clustered or contiguous files" (Section 3.3).
 
 Records are addressed by :class:`RecordId` (page number, slot).  All
 page access goes through the buffer pool; a scan fixes one page at a
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from repro.errors import PageError, RecordNotFoundError, StorageError
+from repro.errors import PageError, StorageError
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import SlottedPage
@@ -39,7 +41,7 @@ class RecordId:
 
 
 class HeapFile:
-    """An append-oriented record file on one buffered device.
+    """An append-only record file on one buffered device.
 
     Args:
         pool: Buffer pool all page access goes through.
@@ -70,18 +72,13 @@ class HeapFile:
 
     @property
     def record_count(self) -> int:
-        """Live records in the file."""
+        """Records in the file."""
         return self._record_count
 
     @property
     def page_count(self) -> int:
         """Pages holding data (allocated-but-unused extent tail excluded)."""
         return len(self._pages)
-
-    @property
-    def page_numbers(self) -> tuple[int, ...]:
-        """Data pages in scan order."""
-        return tuple(self._pages)
 
     def __len__(self) -> int:
         return self._record_count
@@ -124,28 +121,7 @@ class HeapFile:
             count += 1
         return count
 
-    def delete(self, rid: RecordId) -> None:
-        """Delete the record at ``rid`` (tombstoned, space not reused)."""
-        self._check_live()
-        if rid.page_no not in set(self._pages):
-            raise RecordNotFoundError(f"{rid!r} is not a page of file {self.name!r}")
-        view = self.pool.fix(self.disk.name, rid.page_no)
-        try:
-            SlottedPage(view).delete(rid.slot)
-        finally:
-            self.pool.unfix(self.disk.name, rid.page_no, dirty=True)
-        self._record_count -= 1
-
     # -- reads ----------------------------------------------------------------
-
-    def get(self, rid: RecordId) -> bytes:
-        """Fetch one record by identifier (random access)."""
-        self._check_live()
-        view = self.pool.fix(self.disk.name, rid.page_no)
-        try:
-            return bytes(SlottedPage(view).get(rid.slot))
-        finally:
-            self.pool.unfix(self.disk.name, rid.page_no)
 
     def scan(self) -> Iterator[tuple[RecordId, bytes]]:
         """Sequential scan yielding ``(rid, record_bytes)``.
@@ -165,11 +141,6 @@ class HeapFile:
                 yield RecordId(page_no, slot), record
 
     # -- lifecycle --------------------------------------------------------------
-
-    def flush(self) -> None:
-        """Force all dirty pages of this file's device to disk."""
-        self._check_live()
-        self.pool.flush_device(self.disk.name)
 
     def destroy(self) -> None:
         """Delete the file: forget buffered pages, free disk pages.

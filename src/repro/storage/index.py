@@ -76,13 +76,6 @@ class SecondaryIndex:
 
     # -- probing -------------------------------------------------------------
 
-    def probe(self, key: tuple) -> list[RecordId]:
-        """All RIDs whose key attributes equal ``key``."""
-        key = tuple(key)
-        return [
-            rid for _composite, rid in self._tree.range(key + (_LOW,), key + (_HIGH,))
-        ]
-
     def contains(self, key: tuple) -> bool:
         """True when at least one record has this key."""
         key = tuple(key)

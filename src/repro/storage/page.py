@@ -1,8 +1,8 @@
 """Slotted data pages.
 
 A slotted page stores variable-length records addressed by slot number,
-so a record identifier (page number, slot) stays valid while other
-records on the page come and go.  Layout::
+so a record identifier is (page number, slot).  Record files are
+append-only: a page only ever gains records.  Layout::
 
     +--------+---------------------+              +------------------+
     | header | record record ...   | free space   | slot dir (grows  |
@@ -11,7 +11,8 @@ records on the page come and go.  Layout::
 
 Header: ``slot_count`` (u16) and ``free_offset`` (u16, start of free
 space).  Each slot directory entry holds the record's ``offset`` and
-``length`` (u16 each); a deleted slot has offset ``0xFFFF``.
+``length`` (u16 each).  Records per page drive every Table 3 number,
+so this layout is pinned by the test suite.
 
 The page operates directly on a caller-supplied ``bytearray`` -- in
 practice a buffer-pool frame -- so record accessors hand out
@@ -25,11 +26,12 @@ from __future__ import annotations
 import struct
 from typing import Iterator
 
-from repro.errors import PageError, RecordNotFoundError
+from repro.errors import PageError
 
 _HEADER = struct.Struct("<HH")
 _SLOT = struct.Struct("<HH")
-_TOMBSTONE = 0xFFFF
+#: Records must be shorter than this many bytes (the u16 length field).
+_RECORD_LIMIT = 0xFFFF
 
 HEADER_SIZE = _HEADER.size
 SLOT_SIZE = _SLOT.size
@@ -44,31 +46,25 @@ class SlottedPage:
 
     __slots__ = ("_buf", "page_size")
 
-    def __init__(self, buf: bytearray | memoryview, page_size: int | None = None) -> None:
+    def __init__(self, buf: bytearray | memoryview) -> None:
         self._buf = buf if isinstance(buf, memoryview) else memoryview(buf)
-        self.page_size = page_size if page_size is not None else len(self._buf)
-        if len(self._buf) < self.page_size:
-            raise PageError("buffer smaller than declared page size")
+        self.page_size = len(self._buf)
         if self.page_size < HEADER_SIZE + SLOT_SIZE:
             raise PageError(f"page size {self.page_size} too small for slotted layout")
 
     # -- header access ---------------------------------------------------
 
     @classmethod
-    def format(cls, buf: bytearray | memoryview, page_size: int | None = None) -> "SlottedPage":
+    def format(cls, buf: bytearray | memoryview) -> "SlottedPage":
         """Initialize ``buf`` as an empty slotted page and return it."""
-        page = cls(buf, page_size)
+        page = cls(buf)
         _HEADER.pack_into(page._buf, 0, 0, HEADER_SIZE)
         return page
 
     @property
     def slot_count(self) -> int:
-        """Slots in the directory, including tombstones."""
+        """Slots in the directory, one per record."""
         return _HEADER.unpack_from(self._buf, 0)[0]
-
-    @property
-    def _free_offset(self) -> int:
-        return _HEADER.unpack_from(self._buf, 0)[1]
 
     def _set_header(self, slot_count: int, free_offset: int) -> None:
         _HEADER.pack_into(self._buf, 0, slot_count, free_offset)
@@ -76,36 +72,22 @@ class SlottedPage:
     def _slot_position(self, slot: int) -> int:
         return self.page_size - (slot + 1) * SLOT_SIZE
 
-    def _read_slot(self, slot: int) -> tuple[int, int]:
-        if not 0 <= slot < self.slot_count:
-            raise RecordNotFoundError(f"slot {slot} out of range (count={self.slot_count})")
-        return _SLOT.unpack_from(self._buf, self._slot_position(slot))
-
     # -- capacity ------------------------------------------------------------
+
+    def _gap(self) -> int:
+        """Bytes between the last record and the slot directory."""
+        slot_count, free_offset = _HEADER.unpack_from(self._buf, 0)
+        return self.page_size - slot_count * SLOT_SIZE - free_offset
 
     @property
     def free_space(self) -> int:
         """Bytes available for one more record *and* its slot entry."""
-        directory_start = self.page_size - self.slot_count * SLOT_SIZE
-        gap = directory_start - self._free_offset
-        return max(0, gap - SLOT_SIZE)
+        return max(0, self._gap() - SLOT_SIZE)
 
     def fits(self, record_size: int) -> bool:
-        """True when a record of ``record_size`` bytes can be inserted."""
-        return record_size <= self.free_space
-
-    @property
-    def record_count(self) -> int:
-        """Live (non-deleted) records on the page."""
-        return sum(
-            1 for slot in range(self.slot_count) if self._read_slot(slot)[0] != _TOMBSTONE
-        )
-
-    @classmethod
-    def capacity_for(cls, page_size: int, record_size: int) -> int:
-        """Records of ``record_size`` bytes that fit on an empty page."""
-        usable = page_size - HEADER_SIZE
-        return max(0, usable // (record_size + SLOT_SIZE))
+        """True when a record of ``record_size`` bytes and its slot entry
+        can be inserted (an empty record still needs its slot)."""
+        return record_size + SLOT_SIZE <= self._gap()
 
     # -- record operations -----------------------------------------------------
 
@@ -118,7 +100,7 @@ class SlottedPage:
                 page).
         """
         length = len(record)
-        if length >= _TOMBSTONE:
+        if length >= _RECORD_LIMIT:
             raise PageError(f"record of {length} bytes exceeds slotted-page limit")
         if not self.fits(length):
             raise PageError(
@@ -131,33 +113,17 @@ class SlottedPage:
         self._set_header(slot_count + 1, free_offset + length)
         return slot
 
-    def get(self, slot: int) -> memoryview:
-        """Zero-copy view of the record in ``slot``.
-
-        Raises:
-            RecordNotFoundError: for out-of-range or deleted slots.
-        """
-        offset, length = self._read_slot(slot)
-        if offset == _TOMBSTONE:
-            raise RecordNotFoundError(f"slot {slot} is deleted")
-        return self._buf[offset : offset + length]
-
-    def delete(self, slot: int) -> None:
-        """Tombstone the record in ``slot`` (space is not compacted)."""
-        offset, _length = self._read_slot(slot)
-        if offset == _TOMBSTONE:
-            raise RecordNotFoundError(f"slot {slot} is already deleted")
-        _SLOT.pack_into(self._buf, self._slot_position(slot), _TOMBSTONE, 0)
-
     def records(self) -> Iterator[tuple[int, memoryview]]:
-        """Iterate ``(slot, record_view)`` over live records in slot order."""
+        """Iterate ``(slot, record_view)`` over the records in slot order.
+
+        Each view is a zero-copy slice of the page buffer.
+        """
         for slot in range(self.slot_count):
-            offset, length = self._read_slot(slot)
-            if offset != _TOMBSTONE:
-                yield slot, self._buf[offset : offset + length]
+            offset, length = _SLOT.unpack_from(self._buf, self._slot_position(slot))
+            yield slot, self._buf[offset : offset + length]
 
     def __repr__(self) -> str:
         return (
-            f"<SlottedPage {self.record_count}/{self.slot_count} records, "
+            f"<SlottedPage {self.slot_count} records, "
             f"{self.free_space} bytes free>"
         )

@@ -62,12 +62,10 @@ class IoWeights:
 
 # -- seek/sequential classification (the one shared path) --------------
 #
-# Both simulated devices (:class:`repro.storage.disk.SimulatedDisk` and
-# :class:`repro.storage.filedisk.FileBackedDisk`) report transfers
-# through :meth:`IoStatistics.record_transfer`, which classifies them
-# with these helpers -- there is exactly one definition of "what counts
-# as a seek" in the system, and the disk-parity property test pins both
-# devices to it.
+# Every device (:class:`repro.storage.disk.SimulatedDisk`) reports
+# transfers through :meth:`IoStatistics.record_transfer`, which
+# classifies them with these helpers -- there is exactly one definition
+# of "what counts as a seek" in the system.
 
 
 def is_sequential(expected_next: int | None, page_no: int) -> bool:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ExecutionError
+from repro.errors import DiskError, ExecutionError
 from repro.executor.iterator import run_to_relation
 from repro.executor.scan import RelationSource
 from repro.relalg.relation import Relation
@@ -85,6 +85,22 @@ class TestExecContext:
         assert temp.disk.page_size == ctx.config.page_size
         with pytest.raises(ExecutionError):
             ctx.temp_file("bogus")
+
+    def test_devices_share_one_meter_and_the_configured_page_sizes(self, ctx):
+        disks = (ctx.data_disk, ctx.temp_disk, ctx.run_disk)
+        assert [d.name for d in disks] == ["data", "temp", "runs"]
+        assert [d.page_size for d in disks] == [
+            ctx.config.page_size,
+            ctx.config.page_size,
+            ctx.config.sort_run_page_size,
+        ]
+        assert all(d.stats is ctx.io_stats for d in disks)
+
+    def test_close_releases_every_device(self, ctx):
+        ctx.close()
+        for disk in (ctx.data_disk, ctx.temp_disk, ctx.run_disk):
+            with pytest.raises(DiskError, match="closed"):
+                disk.allocate_page()
 
     def test_temp_file_names_unique(self, ctx):
         assert ctx.temp_file().name != ctx.temp_file().name

@@ -1,31 +1,20 @@
-"""Disk defenses under injected faults: checksums, retry, backoff.
-
-Parametrized over both device implementations -- the fault machinery
-lives in :class:`~repro.storage.diskbase.PagedDiskBase`, so the two
-simulations must misbehave (and defend) identically.
-"""
+"""Disk defenses under injected faults: checksums, retry, backoff."""
 
 import pytest
 
 from repro.errors import ChecksumError, DiskFaultError
 from repro.faults import BackoffClock, FaultInjector, FaultRule, RetryPolicy
 from repro.storage.disk import SimulatedDisk
-from repro.storage.filedisk import FileBackedDisk
 
 PAGE = 64
 
 
-@pytest.fixture(params=["memory", "file"])
-def make_disk(request, tmp_path):
+@pytest.fixture
+def make_disk():
     disks = []
 
-    def factory(**kwargs):
-        if request.param == "memory":
-            disk = SimulatedDisk("data", PAGE, **kwargs)
-        else:
-            disk = FileBackedDisk(
-                "data", PAGE, tmp_path / f"disk{len(disks)}.bin", **kwargs
-            )
+    def factory():
+        disk = SimulatedDisk("data", PAGE)
         disks.append(disk)
         return disk
 
@@ -233,38 +222,3 @@ class TestDisabledHooksAreFree:
         ops_after_detach = injector.operations_seen
         assert bytes(disk.read_page(page_no)) == b"\xab" * PAGE
         assert injector.operations_seen == ops_after_detach
-
-
-class TestBothDevicesAgree:
-    def test_same_schedule_on_both_backends(self, tmp_path):
-        """The fault machinery lives in the base class: the same seed
-        against the same access sequence fires the same faults on both
-        device implementations."""
-
-        def drive(disk):
-            disk.attach_faults(
-                FaultInjector(
-                    [FaultRule("transient", op="read", probability=0.4)], seed=11
-                ),
-                retry_policy=RetryPolicy(max_attempts=2),
-            )
-            outcomes = []
-            pages = [disk.allocate_page() for _ in range(4)]
-            for page_no in pages:
-                disk.write_page(page_no, bytes([page_no & 0xFF]) * PAGE)
-            for n in range(24):
-                try:
-                    disk.read_page(pages[n % 4])
-                    outcomes.append("ok")
-                except DiskFaultError:
-                    outcomes.append("fault")
-            schedule = [event.to_dict() for event in disk.injector.schedule]
-            return outcomes, schedule
-
-        mem = SimulatedDisk("data", PAGE)
-        fil = FileBackedDisk("data", PAGE, tmp_path / "parity.bin")
-        try:
-            assert drive(mem) == drive(fil)
-        finally:
-            mem.close()
-            fil.close()

@@ -195,13 +195,14 @@ class TestContextWiring:
     def _disks(ctx):
         return (ctx.data_disk, ctx.temp_disk, ctx.run_disk)
 
-    def test_constructor_wires_every_device(self):
+    def test_attach_wires_every_device(self):
         from repro.executor.iterator import ExecContext
         from repro.faults import RetryPolicy
 
         injector = FaultInjector([], seed=0)
         policy = RetryPolicy(max_attempts=2)
-        ctx = ExecContext(fault_injector=injector, retry_policy=policy)
+        ctx = ExecContext()
+        ctx.attach_fault_injector(injector, policy)
         for disk in self._disks(ctx):
             assert disk.injector is injector
             assert disk.retry_policy is policy
@@ -213,9 +214,8 @@ class TestContextWiring:
         from repro.faults import RetryPolicy
 
         policy = RetryPolicy(max_attempts=3)
-        ctx = ExecContext(
-            fault_injector=FaultInjector([], seed=0), retry_policy=policy
-        )
+        ctx = ExecContext()
+        ctx.attach_fault_injector(FaultInjector([], seed=0), policy)
         ctx.attach_fault_injector(None)
         for disk in self._disks(ctx):
             assert disk.injector is None

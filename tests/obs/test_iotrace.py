@@ -76,7 +76,7 @@ class TestIoEventLog:
         ctx, log = traced_ctx()
         heap = HeapFile(ctx.pool, ctx.data_disk)
         heap.append(b"x" * 100)
-        heap.flush()
+        ctx.pool.flush_device(ctx.data_disk.name)
         first = log.events()[0]
         assert not first.sequential
         # The arm is modelled as parked at page 0: distance == page_no.
@@ -125,7 +125,7 @@ class TestIoEventLog:
     def test_destroy_forgets_ownership(self):
         ctx, log = traced_ctx()
         heap = drive_heapfile(ctx)
-        pages = heap.page_numbers
+        pages = {rid.page_no for rid, _ in heap.scan()}
         heap.destroy()
         assert all(("data", p) not in log._owners for p in pages)
 
@@ -159,7 +159,7 @@ class TestConservation:
         for kind in ("temp", "runs"):
             f = ctx.temp_file(kind)
             f.append_many(b"r" * 64 for _ in range(50))
-            f.flush()
+            ctx.pool.flush_device(f.disk.name)
         report = verify_conservation(log, ctx.io_stats)
         assert report.ok, str(report)
         assert set(report.per_device) >= {"temp", "runs"}

@@ -56,7 +56,7 @@ def test_heapfile_workloads_conserve(operations):
             files.append(heap)
         elif code == 1:  # flush + cold scan
             heap = files[size % len(files)]
-            heap.flush()
+            ctx.pool.flush_device(ctx.data_disk.name)
             ctx.pool.drop_device_pages(ctx.data_disk.name)
             for _ in heap.scan():
                 pass

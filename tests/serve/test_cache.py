@@ -58,6 +58,38 @@ class TestPlanKey:
         assert plan_key(a) != plan_key(SourceNode(courses))
         assert stored_table_names(b) == ()
 
+    def test_filter_project_distinct_key_their_arguments(self, stored_pair):
+        from repro.plan.logical import (
+            DistinctNode,
+            FilterNode,
+            ProjectNode,
+            StoredSourceNode,
+        )
+        from repro.relalg.predicates import AttributeEquals
+
+        dividend, _ = stored_pair
+        source = StoredSourceNode(dividend)
+
+        def filtered(value):
+            return FilterNode(source, AttributeEquals("course_no", value))
+
+        assert plan_key(filtered(10)) == plan_key(filtered(10))
+        assert plan_key(filtered(10)) != plan_key(filtered(11))
+        projections = {
+            plan_key(ProjectNode(source, names))
+            for names in [("student_id",), ("course_no",)]
+        }
+        assert len(projections) == 2
+        distinct = DistinctNode(ProjectNode(source, ("student_id",)))
+        assert plan_key(distinct) != plan_key(distinct.child)
+        assert "transcript" in plan_key(distinct)
+
+    def test_unkeyable_node_rejected(self):
+        from repro.plan.logical import LogicalNode
+
+        with pytest.raises(ServeError, match="unkeyable"):
+            plan_key(LogicalNode())
+
 
 class TestVersionedCache:
     def test_capacity_must_be_positive(self):

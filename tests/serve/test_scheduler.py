@@ -45,7 +45,7 @@ class TestScheduling:
         assert task.result == "done"
 
     def test_clock_advances_by_costs_plus_quanta(self):
-        sched = CooperativeScheduler(quantum_ms=0.01)
+        sched = CooperativeScheduler()
         sched.spawn(gen=costed([1.0, 2.0]))
         sched.run_until_complete()
         # two costed steps + the StopIteration step, one quantum each.
@@ -78,6 +78,15 @@ class TestScheduling:
         events = [event for _, _, event in sched.trace]
         assert events.count("step") == 2  # the cost step + StopIteration
         assert events[-1] == "done"
+
+    def test_stepping_a_finished_task_rejected(self):
+        sched = CooperativeScheduler()
+        task = sched.spawn(gen=costed([1.0]), name="t")
+        sched.run_until_complete()
+        steps = task.steps
+        with pytest.raises(SchedulerError, match="'t' is done"):
+            sched.step(task)
+        assert task.steps == steps
 
 
 class TestWaiting:

@@ -9,22 +9,26 @@ from repro.metering import CpuCounters
 from repro.storage.btree import BPlusTree
 
 
+def point(tree, key):
+    """Values stored under exactly ``key`` (a closed point range)."""
+    return [value for _, value in tree.range(key, key)]
+
+
 class TestBasics:
     def test_empty_tree(self):
         tree = BPlusTree(order=4)
         assert len(tree) == 0
-        assert tree.search((1,)) is None
-        assert list(tree.items()) == []
+        assert point(tree, (1,)) == []
+        assert list(tree.range()) == []
         assert tree.height == 1
 
-    def test_insert_and_search(self):
+    def test_insert_and_point_lookup(self):
         tree = BPlusTree(order=4)
         tree.insert((5,), "five")
         tree.insert((3,), "three")
-        assert tree.search((5,)) == "five"
-        assert tree.search((3,)) == "three"
-        assert tree.search((4,)) is None
-        assert (5,) in tree and (4,) not in tree
+        assert point(tree, (5,)) == ["five"]
+        assert point(tree, (3,)) == ["three"]
+        assert point(tree, (4,)) == []
 
     def test_duplicate_key_rejected(self):
         tree = BPlusTree(order=4)
@@ -43,24 +47,24 @@ class TestBasics:
         with pytest.raises(BTreeError):
             tree.insert((5,), "again")
         assert len(tree) == 10
-        assert tree.search((5,)) == 5
-        assert [v for _, v in tree.items()] == list(range(10))
+        assert point(tree, (5,)) == [5]
+        assert [v for _, v in tree.range()] == list(range(10))
 
     def test_composite_keys_order_lexicographically(self):
         tree = BPlusTree(order=4)
         for key in [(2, 1), (1, 9), (1, 2), (2, 0)]:
             tree.insert(key, key)
-        assert [k for k, _ in tree.items()] == [(1, 2), (1, 9), (2, 0), (2, 1)]
+        assert [k for k, _ in tree.range()] == [(1, 2), (1, 9), (2, 0), (2, 1)]
 
 
 class TestOrderingAndRange:
-    def test_items_sorted(self):
+    def test_full_range_sorted(self):
         tree = BPlusTree(order=4)
         keys = list(range(50))
         random.Random(1).shuffle(keys)
         for key in keys:
             tree.insert((key,), key)
-        assert [key for key, _ in tree.items()] == [(i,) for i in range(50)]
+        assert [key for key, _ in tree.range()] == [(i,) for i in range(50)]
 
     def test_range_with_bounds(self):
         tree = BPlusTree(order=4)
@@ -107,8 +111,8 @@ class TestSplitsAndHeight:
         random.Random(order).shuffle(keys)
         for key in keys:
             tree.insert((key,), -key)
-        assert list(tree.items()) == [((i,), -i) for i in range(200)]
-        assert all(tree.search((i,)) == -i for i in range(200))
+        assert list(tree.range()) == [((i,), -i) for i in range(200)]
+        assert all(point(tree, (i,)) == [-i] for i in range(200))
 
     def test_single_leaf_until_first_split(self):
         tree = BPlusTree(order=4)
@@ -129,7 +133,7 @@ class TestSplitsAndHeight:
         tree = BPlusTree(order=4)
         for key in reversed(range(64)):
             tree.insert((key,), key)
-        assert [key for key, _ in tree.items()] == [(i,) for i in range(64)]
+        assert [key for key, _ in tree.range()] == [(i,) for i in range(64)]
 
 
 class TestMetering:
@@ -140,7 +144,7 @@ class TestMetering:
             tree.insert((key,), key)
         assert cpu.comparisons > 0
         before = cpu.comparisons
-        tree.search((16,))
+        point(tree, (16,))
         assert cpu.comparisons > before
 
     def test_bounded_range_charges_its_descent(self):
@@ -157,4 +161,4 @@ class TestMetering:
         for key in range(32):
             tree.insert((key,), key)
         assert tree.cpu is None
-        assert tree.search((31,)) == 31
+        assert point(tree, (31,)) == [31]

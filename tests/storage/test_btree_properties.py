@@ -11,11 +11,11 @@ keys = st.tuples(st.integers(min_value=-50, max_value=50))
 
 @given(st.lists(st.tuples(keys, st.integers()), unique_by=lambda kv: kv[0]))
 @settings(max_examples=150)
-def test_insert_then_items_sorted(pairs):
+def test_insert_then_full_range_sorted(pairs):
     tree = BPlusTree(order=4)
     for key, value in pairs:
         tree.insert(key, value)
-    items = list(tree.items())
+    items = list(tree.range())
     assert items == sorted(pairs)
     assert len(tree) == len(pairs)
 
@@ -25,12 +25,13 @@ def test_insert_then_items_sorted(pairs):
     st.lists(keys, max_size=20),
 )
 @settings(max_examples=150)
-def test_search_matches_dict(model, probes):
+def test_point_range_matches_dict(model, probes):
     tree = BPlusTree(order=4)
     for key, value in model.items():
         tree.insert(key, value)
     for probe in list(model) + probes:
-        assert tree.search(probe) == model.get(probe)
+        expected = [model[probe]] if probe in model else []
+        assert [v for _, v in tree.range(probe, probe)] == expected
 
 
 @given(
@@ -71,12 +72,13 @@ class BTreeMachine(RuleBasedStateMachine):
             self.model[key] = value
 
     @rule(key=keys)
-    def search(self, key):
-        assert self.tree.search(key) == self.model.get(key)
+    def point_lookup(self, key):
+        expected = [self.model[key]] if key in self.model else []
+        assert [v for _, v in self.tree.range(key, key)] == expected
 
     @invariant()
     def sorted_and_sized(self):
-        items = list(self.tree.items())
+        items = list(self.tree.range())
         assert items == sorted(self.model.items())
         assert len(self.tree) == len(self.model)
 

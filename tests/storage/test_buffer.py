@@ -22,18 +22,37 @@ def make_pool(pages: int = 4, page_size: int = 1024, limit_pages: int = 8):
     return pool, disk
 
 
+def fresh_page(pool: BufferPool, disk: SimulatedDisk) -> tuple[int, memoryview]:
+    """Allocate and fix a fresh page the way heap files do."""
+    page_no = disk.allocate_page()
+    return page_no, pool.fix_new(disk.name, page_no)
+
+
 class TestFixUnfix:
-    def test_new_page_is_fixed_and_zeroed(self):
+    def test_fix_new_is_fixed_and_zeroed(self):
         pool, disk = make_pool()
-        page_no, view = pool.new_page("d")
+        page_no, view = fresh_page(pool, disk)
         assert bytes(view) == b"\x00" * 1024
         assert pool.fixed_page_count() == 1
         pool.unfix("d", page_no, dirty=True)
         assert pool.fixed_page_count() == 0
+        assert disk.stats.counters("d").reads == 0
+
+    def test_fix_new_of_a_resident_page_is_an_ordinary_fix(self):
+        pool, disk = make_pool()
+        page_no, view = fresh_page(pool, disk)
+        view[0] = 0x3C
+        again = pool.fix_new("d", page_no)
+        assert again[0] == 0x3C
+        assert pool.stats.fixes == 2
+        pool.unfix("d", page_no, dirty=True)
+        assert pool.fixed_page_count() == 1
+        pool.unfix("d", page_no)
+        assert pool.fixed_page_count() == 0
 
     def test_fix_hit_avoids_disk_read(self):
         pool, disk = make_pool()
-        page_no, view = pool.new_page("d")
+        page_no, view = fresh_page(pool, disk)
         pool.unfix("d", page_no, dirty=True)
         pool.fix("d", page_no)
         pool.unfix("d", page_no)
@@ -57,8 +76,8 @@ class TestFixUnfix:
     def test_double_unfix_is_a_distinct_error_naming_the_page(self):
         """Unbalanced fix/unfix on a *resident* frame is its own error,
         distinct from unfixing a page that was never brought in."""
-        pool, _ = make_pool()
-        page_no, _ = pool.new_page("d")
+        pool, disk = make_pool()
+        page_no, _ = fresh_page(pool, disk)
         pool.unfix("d", page_no)
         with pytest.raises(
             BufferPoolError,
@@ -71,13 +90,19 @@ class TestFixUnfix:
         assert pool.fixed_page_count() == 0
 
     def test_nested_fixes_require_matching_unfixes(self):
-        pool, _ = make_pool()
-        page_no, _ = pool.new_page("d")
+        pool, disk = make_pool()
+        page_no, _ = fresh_page(pool, disk)
         pool.fix("d", page_no)
         pool.unfix("d", page_no)
         assert pool.fixed_page_count() == 1
         pool.unfix("d", page_no)
         assert pool.fixed_page_count() == 0
+
+    def test_fix_new_on_unknown_device_rejected(self):
+        pool, _ = make_pool()
+        with pytest.raises(StorageError, match="unknown device"):
+            pool.fix_new("nope", 0)
+        assert pool.bytes_in_use == 0
 
     def test_unknown_device_rejected(self):
         pool, _ = make_pool()
@@ -93,12 +118,12 @@ class TestFixUnfix:
 class TestEvictionAndWriteback:
     def test_dirty_page_written_back_on_eviction(self):
         pool, disk = make_pool(pages=2, limit_pages=2)
-        first, view = pool.new_page("d")
+        first, view = fresh_page(pool, disk)
         view[0] = 0xAB
         pool.unfix("d", first, dirty=True)
         # Fill the pool so the first page is evicted.
         for _ in range(3):
-            page_no, _ = pool.new_page("d")
+            page_no, _ = fresh_page(pool, disk)
             pool.unfix("d", page_no, dirty=True)
         assert disk.stats.counters("d").writes >= 1
         # Re-reading returns the written contents.
@@ -106,54 +131,96 @@ class TestEvictionAndWriteback:
         pool.unfix("d", first)
 
     def test_pool_shrinks_back_to_buffer_size_after_unfix(self):
-        pool, _ = make_pool(pages=2, limit_pages=6)
+        pool, disk = make_pool(pages=2, limit_pages=6)
         pages = []
         for _ in range(5):
-            page_no, _ = pool.new_page("d")
+            page_no, _ = fresh_page(pool, disk)
             pages.append(page_no)
         assert pool.bytes_in_use == 5 * 1024  # grown past buffer_size
         for page_no in pages:
             pool.unfix("d", page_no, dirty=True)
         assert pool.bytes_in_use <= 2 * 1024
 
-    def test_exhausted_pool_raises(self):
-        pool, _ = make_pool(pages=2, limit_pages=2)
-        pool.new_page("d")
-        pool.new_page("d")
-        with pytest.raises(BufferPoolError):
-            pool.new_page("d")
+    def test_lru_evicts_the_least_recently_unfixed_page(self):
+        pool, disk = make_pool(pages=2, limit_pages=2)
+        first, _ = fresh_page(pool, disk)
+        pool.unfix("d", first, dirty=True)
+        second, _ = fresh_page(pool, disk)
+        pool.unfix("d", second, dirty=True)
+        pool.fix("d", first)  # a hit: first becomes most recently used
+        pool.unfix("d", first)
+        third, _ = fresh_page(pool, disk)
+        pool.unfix("d", third, dirty=True)
+        misses = pool.stats.misses
+        pool.fix("d", first)
+        pool.unfix("d", first)
+        assert pool.stats.misses == misses  # still resident
+        pool.fix("d", second)
+        pool.unfix("d", second)
+        assert pool.stats.misses == misses + 1  # second was the victim
 
-    def test_discard_drops_clean_page_without_writeback(self):
-        pool, disk = make_pool()
-        page_no, _ = pool.new_page("d")
-        pool.unfix("d", page_no, dirty=True, discard=True)
-        writes_after_discard = disk.stats.counters("d").writes
-        assert writes_after_discard == 1  # the dirty new page must reach disk
-        # A clean re-fix + discard writes nothing further.
-        pool.fix("d", page_no)
-        pool.unfix("d", page_no, discard=True)
-        assert disk.stats.counters("d").writes == writes_after_discard
+    def test_exhausted_pool_raises(self):
+        pool, disk = make_pool(pages=2, limit_pages=2)
+        fresh_page(pool, disk)
+        fresh_page(pool, disk)
+        with pytest.raises(BufferPoolError):
+            fresh_page(pool, disk)
 
 
 class TestMaintenance:
     def test_flush_device_writes_dirty_frames(self):
         pool, disk = make_pool()
-        page_no, view = pool.new_page("d")
+        page_no, view = fresh_page(pool, disk)
         view[0] = 0x55
         pool.unfix("d", page_no, dirty=True)
         pool.flush_device("d")
         assert disk.read_page(page_no)[0] == 0x55
 
+    def test_drop_device_pages_writes_back_and_keeps_fixed_frames(self):
+        pool, disk = make_pool()
+        dropped, view = fresh_page(pool, disk)
+        view[0] = 0x66
+        pool.unfix("d", dropped, dirty=True)
+        pinned, _ = fresh_page(pool, disk)
+        pool.drop_device_pages("d")
+        assert disk.read_page(dropped)[0] == 0x66
+        assert pool.bytes_in_use == 1024  # only the fixed frame stays
+        misses = pool.stats.misses
+        pool.fix("d", pinned)
+        assert pool.stats.misses == misses
+        pool.unfix("d", pinned)
+        pool.unfix("d", pinned)
+
+    def test_drop_device_pages_leaves_other_devices_alone(self):
+        pool, disk = make_pool()
+        other = pool.register_device(SimulatedDisk("e", 1024, disk.stats))
+        page_no, _ = fresh_page(pool, other)
+        pool.unfix("e", page_no, dirty=True)
+        pool.drop_device_pages("d")
+        assert pool.bytes_in_use == 1024
+        assert disk.stats.counters("e").writes == 0
+
+    def test_flush_keeps_frames_resident_and_clean(self):
+        pool, disk = make_pool()
+        page_no, _ = fresh_page(pool, disk)
+        pool.unfix("d", page_no, dirty=True)
+        pool.flush_device("d")
+        pool.flush_device("d")
+        assert disk.stats.counters("d").writes == 1
+        pool.fix("d", page_no)
+        pool.unfix("d", page_no)
+        assert pool.stats.misses == 0
+
     def test_forget_page_drops_without_writeback(self):
         pool, disk = make_pool()
-        page_no, _ = pool.new_page("d")
+        page_no, _ = fresh_page(pool, disk)
         pool.unfix("d", page_no, dirty=True)
         pool.forget_page("d", page_no)
         assert disk.stats.counters("d").writes == 0
 
     def test_forget_fixed_page_rejected(self):
-        pool, _ = make_pool()
-        page_no, _ = pool.new_page("d")
+        pool, disk = make_pool()
+        page_no, _ = fresh_page(pool, disk)
         with pytest.raises(BufferPoolError):
             pool.forget_page("d", page_no)
         pool.unfix("d", page_no, dirty=True)
@@ -172,7 +239,7 @@ class TestMaintenance:
 def churn(pool: BufferPool, disk: SimulatedDisk, pages: int = 8) -> list[int]:
     numbers = []
     for _ in range(pages):
-        page_no, _buf = pool.new_page(disk.name)
+        page_no, _buf = fresh_page(pool, disk)
         numbers.append(page_no)
         pool.unfix(disk.name, page_no, dirty=True)
     for page_no in numbers:  # re-fix: misses for the evicted ones

@@ -60,11 +60,11 @@ class TestRegistry:
         catalog.store(anonymous, name="named")
         assert "named" in catalog
 
-    def test_drop_frees_pages(self, catalog, ctx, transcript):
-        catalog.store(transcript)
-        catalog.drop("transcript")
-        assert "transcript" not in catalog
-        assert ctx.data_disk.page_count == 0
+    def test_insert_rows_append_after_the_stored_rows(self, catalog, courses):
+        stored = catalog.store(courses)
+        catalog.insert_rows(courses.name, [(777,)])
+        assert stored.to_relation().rows == courses.rows + [(777,)]
+        assert stored.record_count == len(courses) + 1
 
     def test_create_empty(self, catalog):
         stored = catalog.create("empty", Schema.of_ints("a"))

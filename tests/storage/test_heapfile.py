@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import RecordNotFoundError, StorageError
+from repro.errors import PageError, StorageError
 from repro.storage.buffer import BufferPool
 from repro.storage.config import StorageConfig
 from repro.storage.disk import SimulatedDisk
@@ -23,12 +23,12 @@ def make_file(page_size=256, buffer_pages=4, extent_pages=2):
     return HeapFile(pool, disk, name="f", extent_pages=extent_pages), pool, disk
 
 
-class TestAppendGet:
+class TestAppend:
     def test_append_returns_rid(self):
         file, _, _ = make_file()
         rid = file.append(b"hello")
         assert isinstance(rid, RecordId)
-        assert file.get(rid) == b"hello"
+        assert list(file.scan()) == [(rid, b"hello")]
         assert file.record_count == 1
 
     def test_records_pack_onto_pages(self):
@@ -42,6 +42,32 @@ class TestAppendGet:
         for i in range(8):
             file.append(bytes([i]) * 16)
         assert file.page_count > 1
+
+    def test_append_after_a_cache_drop_refills_the_tail_page(self):
+        file, pool, disk = make_file(page_size=256)
+        file.append(b"a" * 16)
+        pool.flush_device("d")
+        pool.drop_device_pages("d")
+        reads_before = disk.stats.counters("d").reads
+        file.append(b"b" * 16)
+        assert disk.stats.counters("d").reads == reads_before + 1
+        assert file.page_count == 1
+        assert [record for _, record in file.scan()] == [b"a" * 16, b"b" * 16]
+
+    def test_record_larger_than_a_page_rejected(self):
+        file, _, _ = make_file(page_size=64)
+        with pytest.raises(PageError):
+            file.append(b"z" * 64)
+
+    def test_pages_come_from_preallocated_extents(self):
+        file, _, disk = make_file(page_size=64, extent_pages=4)
+        for i in range(13):  # three 16-byte records per 64-byte page
+            file.append(bytes([i]) * 16)
+        assert file.page_count == 5
+        # Two four-page extents hold the five data pages.
+        assert disk.page_count == 8
+        rids = [rid for rid, _ in file.scan()]
+        assert sorted({rid.page_no for rid in rids}) == list(range(5))
 
     def test_append_many(self):
         file, _, _ = make_file()
@@ -58,15 +84,6 @@ class TestScan:
             file.append(payload)
         assert [record for _, record in file.scan()] == payloads
 
-    def test_scan_skips_deleted(self):
-        file, _, _ = make_file()
-        keep = file.append(b"keep")
-        kill = file.append(b"kill")
-        file.delete(kill)
-        assert [record for _, record in file.scan()] == [b"keep"]
-        assert file.record_count == 1
-        assert file.get(keep) == b"keep"
-
     def test_cold_scan_is_sequential(self):
         file, pool, disk = make_file(page_size=64, buffer_pages=2, extent_pages=8)
         for i in range(30):
@@ -81,21 +98,6 @@ class TestScan:
         assert counters.seeks == 1
 
 
-class TestDelete:
-    def test_delete_unknown_page_rejected(self):
-        file, _, _ = make_file()
-        file.append(b"x")
-        with pytest.raises(RecordNotFoundError):
-            file.delete(RecordId(999, 0))
-
-    def test_delete_then_get_rejected(self):
-        file, _, _ = make_file()
-        rid = file.append(b"x")
-        file.delete(rid)
-        with pytest.raises(RecordNotFoundError):
-            file.get(rid)
-
-
 class TestDestroy:
     def test_destroy_frees_pages_without_writeback(self):
         file, pool, disk = make_file()
@@ -105,6 +107,14 @@ class TestDestroy:
         file.destroy()
         assert disk.stats.counters("d").writes == writes_before
         assert disk.page_count == 0
+
+    def test_destroy_releases_buffered_frames(self):
+        file, pool, _ = make_file()
+        for i in range(5):
+            file.append(bytes([i]) * 32)
+        assert pool.bytes_in_use > 0
+        file.destroy()
+        assert pool.bytes_in_use == 0
 
     def test_destroyed_file_rejects_use(self):
         file, _, _ = make_file()

@@ -1,12 +1,12 @@
 """Property-based and stateful tests for the storage layer.
 
 The buffer pool and heap file are where subtle bugs hide (write-back
-ordering, eviction under pressure, tombstones).  These tests drive
+ordering, eviction under pressure).  These tests drive
 them with random operation sequences against plain-Python models.
 """
 
 from hypothesis import given, settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.relalg.schema import Attribute, DataType, Schema
 from repro.storage.buffer import BufferPool
@@ -54,8 +54,8 @@ def test_mixed_codec_roundtrip(text, integer, floating):
 
 
 class HeapFileMachine(RuleBasedStateMachine):
-    """Random append/delete/get/scan against a dict model, with a
-    buffer small enough to force eviction and re-reads."""
+    """Random append/scan against a dict model, with a buffer small
+    enough to force eviction and re-reads."""
 
     def __init__(self):
         super().__init__()
@@ -81,19 +81,6 @@ class HeapFileMachine(RuleBasedStateMachine):
         assert rid not in self.model
         self.model[rid] = payload
         self.counter += 1
-
-    @rule(data=st.data())
-    @precondition(lambda self: self.model)
-    def get_existing(self, data):
-        rid = data.draw(st.sampled_from(sorted(self.model)))
-        assert self.file.get(rid) == self.model[rid]
-
-    @rule(data=st.data())
-    @precondition(lambda self: self.model)
-    def delete_existing(self, data):
-        rid = data.draw(st.sampled_from(sorted(self.model)))
-        self.file.delete(rid)
-        del self.model[rid]
 
     @rule()
     def flush(self):

@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import _division_inputs, build_parser, main
+
+RESULTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 
 
 class TestParser:
@@ -44,6 +48,13 @@ class TestCommands:
         assert main(["table4", "--sizes", "25x25"]) == 0
         out = capsys.readouterr().out
         assert "hash-division" in out and "measured" in out
+
+    def test_table4_smallest_point_matches_the_pinned_output(self, capsys):
+        """Records per page drive every metered cost: a change to the
+        page layout (or any other cost path) moves these numbers."""
+        assert main(["table4", "--sizes", "25x25"]) == 0
+        pinned = (RESULTS / "table4_smallest_point.txt").read_text()
+        assert capsys.readouterr().out == pinned
 
     def test_advisor(self, capsys):
         assert main([
@@ -470,3 +481,54 @@ class TestChaosServeScenario:
         payload = json_mod.loads(capsys.readouterr().out)
         assert payload["scenario"] == "serve"
         assert payload["ok"] is True
+
+
+class TestTypedErrors:
+    """A library error from a handler is one ``repro: error:`` line."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["table4", "--sizes", "0x5"], "empty divisor"),
+            (["serve", "--clients", "0"], "clients must be positive"),
+            (["parallel", "--processors", "0"], "processors must be positive"),
+        ],
+        ids=["table4", "serve", "parallel"],
+    )
+    def test_reported_as_one_line_with_status_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        err_lines = capsys.readouterr().err.splitlines()
+        errors = [line for line in err_lines if line.startswith("repro: error: ")]
+        assert len(errors) == 1 and message in errors[0]
+        assert not any("Traceback" in line for line in err_lines)
+
+    def test_process_exit_status_is_2(self):
+        import os
+        import subprocess
+        import sys
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--clients", "0"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stderr == "repro: error: clients must be positive\n"
+
+    def test_untyped_errors_still_propagate(self, monkeypatch):
+        """Only typed errors are user errors; a bug keeps its traceback."""
+        import repro.cli as cli
+
+        def broken(args):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(cli, "_cmd_table3", broken)
+        with pytest.raises(RuntimeError, match="bug"):
+            main(["table3"])
