@@ -36,8 +36,7 @@ class TempFileScan(QueryIterator):
         self._rows: Iterator[Row] | None = None
 
     def _open(self) -> None:
-        decode = self._codec.decode
-        self._rows = (decode(record) for _rid, record in self.file.scan())
+        self._rows = self.file.scan_rows(self._codec)
 
     def _next(self) -> Optional[Row]:
         assert self._rows is not None

@@ -245,8 +245,7 @@ class ExternalSort(QueryIterator):
             tracer.observe("repro_sort_run_length_rows", len(rows))
 
     def _run_rows(self, run: HeapFile) -> Iterator[Row]:
-        decode = self._codec.decode
-        return (decode(record) for _rid, record in run.scan())
+        return run.scan_rows(self._codec)
 
     def _merge_streams(self, streams: list[Iterator[Row]]) -> Iterator[Row]:
         """K-way merge with collapse, charging log2(k) Comp per pop."""

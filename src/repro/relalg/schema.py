@@ -192,10 +192,11 @@ class RecordCodec:
     16-byte records.
     """
 
-    __slots__ = ("schema", "_struct", "_string_positions")
+    __slots__ = ("schema", "_arity", "_struct", "_string_positions")
 
     def __init__(self, schema: Schema) -> None:
         self.schema = schema
+        self._arity = len(schema)
         fmt = "<" + "".join(a.struct_format for a in schema)
         self._struct = struct.Struct(fmt)
         self._string_positions = tuple(
@@ -209,9 +210,9 @@ class RecordCodec:
 
     def encode(self, row: tuple) -> bytes:
         """Pack one tuple into its fixed-size binary record."""
-        if len(row) != len(self.schema):
+        if len(row) != self._arity:
             raise SchemaError(
-                f"tuple arity {len(row)} does not match schema arity {len(self.schema)}"
+                f"tuple arity {len(row)} does not match schema arity {self._arity}"
             )
         if not self._string_positions:
             return self._struct.pack(*row)
@@ -232,6 +233,28 @@ class RecordCodec:
         values = self._struct.unpack(record)
         if not self._string_positions:
             return values
+        return self._decode_strings(values)
+
+    def decode_page(self, records: bytes | memoryview, count: int) -> list[tuple]:
+        """Unpack ``count`` records stored back to back in ``records``
+        (one page's worth) into tuples, in order.
+
+        Raises:
+            SchemaError: when ``records`` does not hold exactly
+                ``count`` records of this codec's size.
+        """
+        if len(records) != count * self._struct.size:
+            raise SchemaError(
+                f"{len(records)} bytes do not hold {count} records of "
+                f"{self._struct.size} bytes"
+            )
+        rows = list(self._struct.iter_unpack(records))
+        if not self._string_positions:
+            return rows
+        return [self._decode_strings(values) for values in rows]
+
+    def _decode_strings(self, values: tuple) -> tuple:
+        """Strip NUL padding from string attributes and decode UTF-8."""
         out = list(values)
         for position in self._string_positions:
             out[position] = out[position].rstrip(b"\x00").decode("utf-8")

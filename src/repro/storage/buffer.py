@@ -41,7 +41,14 @@ class _Frame:
 
 @dataclass
 class BufferPoolStats:
-    """Logical access statistics (hits/misses), for reporting only."""
+    """Logical access statistics (hits/misses), for reporting only.
+
+    ``fixes`` counts :meth:`BufferPool.fix` / :meth:`BufferPool.fix_new`
+    calls, not record accesses: record files fix a page once per page
+    filled or scanned, however many records it holds.  So ``hits`` and
+    ``hit_ratio`` describe page visits; ``misses``, ``evictions`` and
+    ``writebacks`` are the physical transfers the Table 3 meters see.
+    """
 
     fixes: int = 0
     misses: int = 0

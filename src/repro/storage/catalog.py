@@ -17,7 +17,7 @@ from repro.relalg.schema import RecordCodec, Schema
 from repro.relalg.tuples import Row
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
-from repro.storage.heapfile import HeapFile, RecordId
+from repro.storage.heapfile import HeapFile
 
 
 @dataclass
@@ -56,16 +56,13 @@ class StoredRelation:
         model's page cardinality."""
         return self.file.page_count
 
-    def scan_rows(self) -> Iterator[tuple[RecordId, Row]]:
-        """Sequential scan decoding each record into a tuple."""
-        for rid, record in self.file.scan():
-            yield rid, self.codec.decode(record)
+    def scan_rows(self) -> Iterator[Row]:
+        """Sequential scan decoding one page of tuples per fix."""
+        return self.file.scan_rows(self.codec)
 
     def to_relation(self) -> Relation:
         """Materialize the stored tuples back into a Relation."""
-        return Relation(
-            self.schema, (row for _, row in self.scan_rows()), name=self.name
-        )
+        return Relation(self.schema, self.scan_rows(), name=self.name)
 
 
 class Catalog:
@@ -111,6 +108,9 @@ class Catalog:
     def store(self, relation: Relation, name: str | None = None, cold: bool = True) -> StoredRelation:
         """Write an in-memory relation to a heap file.
 
+        The store is all or nothing: if writing fails, the partial
+        file is destroyed and the name stays free.
+
         Args:
             relation: Tuples and schema to store.
             name: Stored name; defaults to ``relation.name``.
@@ -123,11 +123,18 @@ class Catalog:
             raise StorageError("relation needs a name to be stored")
         stored = self.create(stored_name, relation.schema)
         encode = stored.codec.encode
-        stored.file.append_many(encode(row) for row in relation)
+        try:
+            stored.file.append_many(encode(row) for row in relation)
+            if cold:
+                self.pool.flush_device(self.disk.name)
+                self.pool.drop_device_pages(self.disk.name)
+        except BaseException:
+            # A failed store leaves nothing behind: no pages of a
+            # partial file, and no name a retry would collide with.
+            stored.file.destroy()
+            del self._relations[stored_name]
+            raise
         stored.bump_version()
-        if cold:
-            self.pool.flush_device(self.disk.name)
-            self.pool.drop_device_pages(self.disk.name)
         return stored
 
     # -- versioned writes ----------------------------------------------

@@ -10,19 +10,22 @@ hash-based algorithms benefit from "efficient read-ahead of physically
 clustered or contiguous files" (Section 3.3).
 
 Records are addressed by :class:`RecordId` (page number, slot).  All
-page access goes through the buffer pool; a scan fixes one page at a
-time and hands out record bytes.
+page access goes through the buffer pool, one page per fix: an append
+fixes the tail page once and fills it, and a scan fixes each page once
+and hands out all of its record bytes together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 from repro.errors import PageError, StorageError
+from repro.relalg.schema import RecordCodec
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
-from repro.storage.page import SlottedPage
+from repro.storage.page import SlottedPage, max_record_size
 
 #: Pages allocated per extent.  Eight pages balances contiguity against
 #: space waste for the paper's small divisor files.
@@ -66,6 +69,9 @@ class HeapFile:
         self._pages: list[int] = []
         self._unused_extent_pages: list[int] = []
         self._record_count = 0
+        #: Records on the tail page (the last of ``_pages``).
+        self._tail_slots = 0
+        self._max_record_size = max_record_size(disk.page_size)
         self._destroyed = False
 
     # -- size ------------------------------------------------------------
@@ -87,58 +93,66 @@ class HeapFile:
 
     def append(self, record: bytes) -> RecordId:
         """Append one record, returning its identifier."""
-        self._check_live()
-        if self._pages:
-            last = self._pages[-1]
-            view = self.pool.fix(self.disk.name, last)
-            try:
-                page = SlottedPage(view)
-                if page.fits(len(record)):
-                    slot = page.insert(record)
-                    self.pool.unfix(self.disk.name, last, dirty=True)
-                    self._record_count += 1
-                    return RecordId(last, slot)
-            except PageError:
-                pass
-            self.pool.unfix(self.disk.name, last)
-        page_no = self._next_data_page()
-        # Track the page as data *before* touching it again: if the fix
-        # or insert below faults, destroy() must still find (and free)
-        # the page or it leaks on the device.
-        self._pages.append(page_no)
-        view = self.pool.fix(self.disk.name, page_no)
-        page = SlottedPage.format(view)
-        slot = page.insert(record)
-        self.pool.unfix(self.disk.name, page_no, dirty=True)
-        self._record_count += 1
-        return RecordId(page_no, slot)
+        self.append_many((record,))
+        return RecordId(self._pages[-1], self._tail_slots - 1)
 
     def append_many(self, records: Iterable[bytes]) -> int:
-        """Append several records; returns how many were written."""
-        count = 0
-        for record in records:
-            self.append(record)
-            count += 1
-        return count
+        """Append records in order; returns how many were written.
+
+        The tail page is fixed once and filled until a record does not
+        fit; that record starts the next page.  A record too long for
+        an empty page raises :class:`PageError` before any page is
+        allocated for it (the records before it stay written).
+        """
+        self._check_live()
+        before = self._record_count
+        records = iter(records)
+        record = next(records, None)
+        if record is not None and self._pages:
+            record = self._fill(self._pages[-1], record, records)
+        while record is not None:
+            if len(record) > self._max_record_size:
+                raise PageError(
+                    f"record of {len(record)} bytes does not fit an empty "
+                    f"{self.disk.page_size}-byte page"
+                )
+            page_no = self._next_data_page()
+            # Track the page as data *before* touching it again: if the
+            # fix below faults, destroy() must still find (and free) the
+            # page or it leaks on the device.
+            self._pages.append(page_no)
+            self._tail_slots = 0
+            record = self._fill(page_no, record, records)
+        return self._record_count - before
 
     # -- reads ----------------------------------------------------------------
 
-    def scan(self) -> Iterator[tuple[RecordId, bytes]]:
-        """Sequential scan yielding ``(rid, record_bytes)``.
+    def scan(self) -> Iterator[tuple[int, int, bytes]]:
+        """Sequential scan yielding ``(page_no, slot_count, records)``
+        per page, where ``records`` holds the page's records back to
+        back in slot order (a record's slot is its position there).
 
         Pages are fixed one at a time in physical order, so a cold scan
-        is charged as sequential I/O.
+        is charged as sequential I/O; each page is copied out and
+        unfixed before it is yielded.
         """
         self._check_live()
+        device = self.disk.name
         for page_no in self._pages:
-            view = self.pool.fix(self.disk.name, page_no)
+            view = self.pool.fix(device, page_no)
             try:
-                page = SlottedPage(view)
-                records = [(slot, bytes(record)) for slot, record in page.records()]
+                slot_count, region = SlottedPage(view).packed_records()
+                records = bytes(region)
             finally:
-                self.pool.unfix(self.disk.name, page_no)
-            for slot, record in records:
-                yield RecordId(page_no, slot), record
+                self.pool.unfix(device, page_no)
+            yield page_no, slot_count, records
+
+    def scan_rows(self, codec: RecordCodec) -> Iterator[tuple]:
+        """Sequential scan decoding each page's records with ``codec``."""
+        decode_page = codec.decode_page
+        return chain.from_iterable(
+            decode_page(records, slot_count) for _, slot_count, records in self.scan()
+        )
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -168,9 +182,29 @@ class HeapFile:
 
     # -- internals ----------------------------------------------------------------
 
+    def _fill(
+        self, page_no: int, record: bytes, records: Iterator[bytes]
+    ) -> bytes | None:
+        """Fix one page, fill it from ``record`` and ``records``, and
+        unfix it; returns the record that did not fit, if any.
+
+        The record count follows the page header even when ``records``
+        raises part-way.
+        """
+        device = self.disk.name
+        page = SlottedPage(self.pool.fix(device, page_no))
+        try:
+            return page.fill(record, records)
+        finally:
+            slots = page.slot_count
+            added = slots - self._tail_slots
+            self._tail_slots = slots
+            self._record_count += added
+            self.pool.unfix(device, page_no, dirty=added > 0)
+
     def _next_data_page(self) -> int:
         """Take the next page of the current extent, or allocate a new
-        extent; the page is zero-filled and must be formatted."""
+        extent, and format it as an empty slotted page."""
         if not self._unused_extent_pages:
             self._unused_extent_pages = self.disk.allocate_extent(self.extent_pages)
             # File attribution for page-level I/O tracing: register the
@@ -187,8 +221,10 @@ class HeapFile:
         # temp-device write faults).
         page_no = self._unused_extent_pages[0]
         # Install a zeroed frame for the fresh page so formatting does
-        # not require reading garbage from disk.
+        # not require reading garbage from disk.  A page is formatted
+        # before it joins the file, so every data page parses.
         view = self.pool.fix_new(self.disk.name, page_no)
+        SlottedPage.format(view)
         self.pool.unfix(self.disk.name, page_no, dirty=True)
         self._unused_extent_pages.pop(0)
         return page_no

@@ -60,8 +60,10 @@ class SecondaryIndex:
     ) -> "SecondaryIndex":
         """Scan the relation once and index every record."""
         index = cls(stored, key_names, cpu=cpu, order=order)
-        for rid, row in stored.scan_rows():
-            index.insert(row, rid)
+        decode_page = stored.codec.decode_page
+        for page_no, slot_count, records in stored.file.scan():
+            for slot, row in enumerate(decode_page(records, slot_count)):
+                index.insert(row, RecordId(page_no, slot))
         return index
 
     def __len__(self) -> int:

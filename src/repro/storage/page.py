@@ -12,7 +12,10 @@ append-only: a page only ever gains records.  Layout::
 Header: ``slot_count`` (u16) and ``free_offset`` (u16, start of free
 space).  Each slot directory entry holds the record's ``offset`` and
 ``length`` (u16 each).  Records per page drive every Table 3 number,
-so this layout is pinned by the test suite.
+so this layout is pinned by the test suite.  Because records are only
+ever appended at ``free_offset``, a page's records lie back to back
+between the header and ``free_offset`` in slot order; record files read
+that region whole (:meth:`SlottedPage.packed_records`).
 
 The page operates directly on a caller-supplied ``bytearray`` -- in
 practice a buffer-pool frame -- so record accessors hand out
@@ -35,6 +38,11 @@ _RECORD_LIMIT = 0xFFFF
 
 HEADER_SIZE = _HEADER.size
 SLOT_SIZE = _SLOT.size
+
+
+def max_record_size(page_size: int) -> int:
+    """Longest record an empty page of ``page_size`` bytes can hold."""
+    return min(page_size - HEADER_SIZE - SLOT_SIZE, _RECORD_LIMIT - 1)
 
 
 class SlottedPage:
@@ -65,9 +73,6 @@ class SlottedPage:
     def slot_count(self) -> int:
         """Slots in the directory, one per record."""
         return _HEADER.unpack_from(self._buf, 0)[0]
-
-    def _set_header(self, slot_count: int, free_offset: int) -> None:
-        _HEADER.pack_into(self._buf, 0, slot_count, free_offset)
 
     def _slot_position(self, slot: int) -> int:
         return self.page_size - (slot + 1) * SLOT_SIZE
@@ -106,12 +111,49 @@ class SlottedPage:
             raise PageError(
                 f"record of {length} bytes does not fit ({self.free_space} free)"
             )
-        slot_count, free_offset = _HEADER.unpack_from(self._buf, 0)
-        slot = slot_count
-        self._buf[free_offset : free_offset + length] = record
-        _SLOT.pack_into(self._buf, self._slot_position(slot), free_offset, length)
-        self._set_header(slot_count + 1, free_offset + length)
+        slot = self.slot_count
+        self.fill(record, iter(()))
         return slot
+
+    def fill(self, record: bytes, records: Iterator[bytes]) -> bytes | None:
+        """Insert ``record``, then records drawn from ``records``, until
+        one does not fit or ``records`` is exhausted.
+
+        Returns the record that did not fit (the caller places it on a
+        fresh page, if :func:`max_record_size` allows), or ``None`` once
+        ``records`` is exhausted.  Bytes and slots are laid out exactly
+        as one :meth:`insert` per record would lay them out.  The
+        header is written once, on the way out, so an exception raised
+        by ``records`` leaves it describing exactly the records written.
+        """
+        buf = self._buf
+        slot_count, free_offset = _HEADER.unpack_from(buf, 0)
+        # Where the next slot entry goes; a record fits when it ends at
+        # or before this position.
+        slot_position = self.page_size - (slot_count + 1) * SLOT_SIZE
+        pack_slot = _SLOT.pack_into
+        try:
+            while True:
+                length = len(record)
+                end = free_offset + length
+                if end > slot_position or length >= _RECORD_LIMIT:
+                    return record
+                buf[free_offset:end] = record
+                pack_slot(buf, slot_position, free_offset, length)
+                slot_count += 1
+                free_offset = end
+                slot_position -= SLOT_SIZE
+                record = next(records, None)
+                if record is None:
+                    return None
+        finally:
+            _HEADER.pack_into(buf, 0, slot_count, free_offset)
+
+    def packed_records(self) -> tuple[int, memoryview]:
+        """``(slot_count, region)``: the records in slot order, back to
+        back, as one zero-copy view of the page buffer."""
+        slot_count, free_offset = _HEADER.unpack_from(self._buf, 0)
+        return slot_count, self._buf[HEADER_SIZE:free_offset]
 
     def records(self) -> Iterator[tuple[int, memoryview]]:
         """Iterate ``(slot, record_view)`` over the records in slot order.

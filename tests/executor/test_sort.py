@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, PageError
 from repro.executor.iterator import ExecContext, run_to_relation
 from repro.executor.scan import RelationSource
 from repro.executor.sort import ExternalSort, count_reducer
 from repro.relalg.relation import Relation
+from repro.relalg.schema import Attribute, DataType, Schema
 from repro.storage.config import StorageConfig
 
 
@@ -110,6 +111,18 @@ class TestExternalSort:
         relation = Relation.of_ints(("a", "b"), [(i, 0) for i in range(200)])
         plan = ExternalSort(RelationSource(ctx, relation), ["a"])
         run_to_relation(plan)
+        assert ctx.run_disk.page_count == 0
+
+    def test_rows_too_wide_for_a_run_page_raise_the_page_error(self):
+        # 2008-byte rows cannot fit an empty 1 KiB run page.  The real
+        # error must surface, with no run page left fixed or allocated.
+        schema = Schema((Attribute("k"), Attribute("pad", DataType.STRING, 2000)))
+        ctx = ExecContext(config=tiny_sort_config(sort_records=2, record_size=2008))
+        relation = Relation(schema, [(i, "x") for i in range(8)])
+        plan = ExternalSort(RelationSource(ctx, relation), ["k"])
+        with pytest.raises(PageError):
+            run_to_relation(plan)
+        assert ctx.pool.fixed_page_count() == 0
         assert ctx.run_disk.page_count == 0
 
     def test_reopen_resorts(self, ctx):

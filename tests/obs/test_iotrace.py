@@ -47,7 +47,7 @@ def drive_heapfile(ctx: ExecContext, records: int = 40) -> HeapFile:
     heap.append_many(bytes([i % 251]) * 600 for i in range(records))
     ctx.pool.flush_device(ctx.data_disk.name)
     ctx.pool.drop_device_pages(ctx.data_disk.name)
-    for _rid, _record in heap.scan():
+    for _page in heap.scan():
         pass
     return heap
 
@@ -125,7 +125,7 @@ class TestIoEventLog:
     def test_destroy_forgets_ownership(self):
         ctx, log = traced_ctx()
         heap = drive_heapfile(ctx)
-        pages = {rid.page_no for rid, _ in heap.scan()}
+        pages = {page_no for page_no, _, _ in heap.scan()}
         heap.destroy()
         assert all(("data", p) not in log._owners for p in pages)
 

@@ -129,3 +129,26 @@ class TestRecordCodec:
         codec = Schema.of_ints("a").codec()
         for value in (0, -1, 2**62, -(2**62)):
             assert codec.decode(codec.encode((value,))) == (value,)
+
+    def test_decode_page_with_string_attributes(self):
+        schema = Schema((Attribute("name", DataType.STRING, 6), Attribute("n")))
+        codec = schema.codec()
+        rows = [("Ann", 1), ("", -2), ("Barbra", 3)]
+        page = b"".join(codec.encode(row) for row in rows)
+        assert codec.decode_page(page, 3) == rows
+        assert codec.decode_page(memoryview(page)[:0], 0) == []
+
+    def test_decode_page_matches_decode_per_record(self):
+        codec = Schema.of_ints("a", "b").codec()
+        records = [codec.encode((i, -i)) for i in range(5)]
+        assert codec.decode_page(b"".join(records), 5) == [
+            codec.decode(record) for record in records
+        ]
+
+    def test_decode_page_rejects_a_region_of_the_wrong_length(self):
+        codec = Schema.of_ints("a").codec()
+        page = b"".join(codec.encode((i,)) for i in range(3))
+        with pytest.raises(SchemaError):
+            codec.decode_page(page[:-1], 3)
+        with pytest.raises(SchemaError):
+            codec.decode_page(page, 2)

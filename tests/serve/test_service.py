@@ -275,11 +275,11 @@ class TestLeakAudit:
     def test_a_fixed_frame_fails_the_drain(self):
         service, _ = make_service()
         service.submit_query("enrollment", "courses")
-        rid, _ = next(service.catalog.get("enrollment").file.scan())
+        page_no, _, _ = next(service.catalog.get("enrollment").file.scan())
         device = service.ctx.data_disk.name
-        service.ctx.pool.fix(device, rid.page_no)
+        service.ctx.pool.fix(device, page_no)
         with pytest.raises(ServeError, match="drained dirty: 1 buffer frames"):
             service.run()
         assert service.leak_report() == ["1 buffer frames still fixed"]
-        service.ctx.pool.unfix(device, rid.page_no)
+        service.ctx.pool.unfix(device, page_no)
         assert service.leak_report() == []

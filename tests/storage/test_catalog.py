@@ -1,8 +1,10 @@
 """Tests for the catalog and the Relation <-> HeapFile bridge."""
 
+import struct
+
 import pytest
 
-from repro.errors import StorageError
+from repro.errors import PageError, StorageError
 from repro.relalg.relation import Relation
 from repro.relalg.schema import Attribute, DataType, Schema
 
@@ -15,7 +17,7 @@ class TestStoreAndLoad:
 
     def test_scan_rows_decodes(self, catalog, courses):
         stored = catalog.store(courses)
-        rows = [row for _, row in stored.scan_rows()]
+        rows = list(stored.scan_rows())
         assert rows == courses.rows
 
     def test_string_attributes_roundtrip(self, catalog):
@@ -70,3 +72,38 @@ class TestRegistry:
         stored = catalog.create("empty", Schema.of_ints("a"))
         assert stored.record_count == 0
         assert stored.to_relation().rows == []
+
+
+class TestAtomicStore:
+    """A store that fails leaves no fixed frame, page or name behind."""
+
+    @staticmethod
+    def oversized(name="wide"):
+        # 9008-byte records cannot fit an empty 8 KiB data page.
+        schema = Schema((Attribute("id"), Attribute("blob", DataType.STRING, 9000)))
+        return Relation(schema, [(1, "x")], name=name)
+
+    def test_oversize_record_leaks_no_fix_or_page(self, ctx, catalog):
+        with pytest.raises(PageError):
+            catalog.store(self.oversized())
+        assert ctx.pool.fixed_page_count() == 0
+        assert ctx.data_disk.page_count == 0
+
+    def test_failed_store_frees_the_name_for_a_retry(self, ctx, catalog):
+        with pytest.raises(PageError):
+            catalog.store(self.oversized(name="people"))
+        assert "people" not in catalog
+        schema = Schema((Attribute("name", DataType.STRING, 12), Attribute("n")))
+        stored = catalog.store(Relation(schema, [("Ann", 1)], name="people"))
+        assert stored.to_relation().rows == [("Ann", 1)]
+
+    def test_failure_after_some_pages_destroys_them(self, ctx, catalog, transcript):
+        # 2000 16-byte records fill several pages before the last row
+        # fails to encode.
+        rows = [(i, i) for i in range(2000)] + [("not", "ints")]
+        relation = Relation(transcript.schema, rows, name="partial")
+        with pytest.raises(struct.error):
+            catalog.store(relation)
+        assert "partial" not in catalog
+        assert ctx.data_disk.page_count == 0
+        assert ctx.pool.fixed_page_count() == 0

@@ -2,11 +2,13 @@
 
 import pytest
 
-from repro.errors import PageError, StorageError
+from repro.errors import DiskFaultError, PageError, StorageError
+from repro.faults import FaultInjector, FaultRule
 from repro.storage.buffer import BufferPool
 from repro.storage.config import StorageConfig
 from repro.storage.disk import SimulatedDisk
 from repro.storage.heapfile import HeapFile, RecordId
+from repro.storage.page import SlottedPage
 from repro.storage.stats import IoStatistics
 
 
@@ -23,12 +25,25 @@ def make_file(page_size=256, buffer_pages=4, extent_pages=2):
     return HeapFile(pool, disk, name="f", extent_pages=extent_pages), pool, disk
 
 
+def scanned(file):
+    """``(rid, record)`` pairs of a file whose records share one size."""
+    pairs = []
+    for page_no, count, records in file.scan():
+        size = len(records) // count
+        assert len(records) == count * size
+        pairs += [
+            (RecordId(page_no, slot), records[slot * size : (slot + 1) * size])
+            for slot in range(count)
+        ]
+    return pairs
+
+
 class TestAppend:
     def test_append_returns_rid(self):
         file, _, _ = make_file()
         rid = file.append(b"hello")
         assert isinstance(rid, RecordId)
-        assert list(file.scan()) == [(rid, b"hello")]
+        assert scanned(file) == [(rid, b"hello")]
         assert file.record_count == 1
 
     def test_records_pack_onto_pages(self):
@@ -52,7 +67,7 @@ class TestAppend:
         file.append(b"b" * 16)
         assert disk.stats.counters("d").reads == reads_before + 1
         assert file.page_count == 1
-        assert [record for _, record in file.scan()] == [b"a" * 16, b"b" * 16]
+        assert [record for _, record in scanned(file)] == [b"a" * 16, b"b" * 16]
 
     def test_record_larger_than_a_page_rejected(self):
         file, _, _ = make_file(page_size=64)
@@ -66,7 +81,7 @@ class TestAppend:
         assert file.page_count == 5
         # Two four-page extents hold the five data pages.
         assert disk.page_count == 8
-        rids = [rid for rid, _ in file.scan()]
+        rids = [rid for rid, _ in scanned(file)]
         assert sorted({rid.page_no for rid in rids}) == list(range(5))
 
     def test_append_many(self):
@@ -82,7 +97,7 @@ class TestScan:
         payloads = [bytes([i]) * 8 for i in range(20)]
         for payload in payloads:
             file.append(payload)
-        assert [record for _, record in file.scan()] == payloads
+        assert [record for _, record in scanned(file)] == payloads
 
     def test_cold_scan_is_sequential(self):
         file, pool, disk = make_file(page_size=64, buffer_pages=2, extent_pages=8)
@@ -153,5 +168,63 @@ class TestInvariants:
         payloads = [bytes([i % 250]) * 16 for i in range(60)]
         for payload in payloads:
             file.append(payload)
-        assert [record for _, record in file.scan()] == payloads
+        assert [record for _, record in scanned(file)] == payloads
         assert disk.stats.counters("d").writes > 0
+
+
+class TestFailedBatches:
+    """A batch that fails part-way keeps the file consistent: the
+    record count equals what a scan returns, and no frame stays fixed."""
+
+    def test_oversize_record_allocates_no_page(self):
+        file, pool, disk = make_file(page_size=64, extent_pages=1)
+        file.append(b"a" * 16)
+        with pytest.raises(PageError):
+            file.append_many([b"b" * 16, b"z" * 57])
+        assert pool.fixed_page_count() == 0
+        assert disk.page_count == 1
+        assert file.page_count == 1
+        assert [r for _, r in scanned(file)] == [b"a" * 16, b"b" * 16]
+        assert file.record_count == 2
+
+    def test_encode_error_mid_page_keeps_header_and_count_in_step(self):
+        file, pool, _ = make_file(page_size=256)
+
+        def records():
+            yield from (bytes([i]) * 16 for i in range(3))
+            raise ValueError("encode failed")
+
+        with pytest.raises(ValueError):
+            file.append_many(records())
+        assert file.record_count == 3
+        assert pool.fixed_page_count() == 0
+        [(page_no, slot_count, region)] = file.scan()
+        assert slot_count == 3 and len(region) == 48
+        view = pool.fix("d", page_no)
+        assert SlottedPage(view).slot_count == 3
+        pool.unfix("d", page_no)
+        # The next batch continues on the same page after record 3.
+        file.append_many([b"x" * 16])
+        assert file.page_count == 1
+        assert [r for _, r in scanned(file)][-1] == b"x" * 16
+
+    def test_write_fault_on_a_dirty_victim_mid_batch(self):
+        # Two buffer frames: filling 64-byte pages evicts dirty pages,
+        # and the fourth write-back fails permanently.
+        file, pool, disk = make_file(page_size=64, buffer_pages=2, extent_pages=2)
+        disk.attach_faults(
+            FaultInjector(
+                [FaultRule("permanent", op="write", every_nth=4, max_fires=1)], seed=0
+            )
+        )
+        payloads = [bytes([i]) * 16 for i in range(60)]
+        with pytest.raises(DiskFaultError):
+            file.append_many(payloads)
+        disk.attach_faults(None)
+        assert pool.fixed_page_count() == 0
+        records = [r for _, r in scanned(file)]
+        assert 0 < file.record_count < len(payloads)
+        assert records == payloads[: file.record_count]
+        file.destroy()
+        assert disk.page_count == 0
+        assert pool.bytes_in_use == 0

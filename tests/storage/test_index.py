@@ -35,7 +35,7 @@ class TestBuildAndProbe:
 
     def test_contains_every_stored_key(self, stored_transcript):
         index = SecondaryIndex.build(stored_transcript, ["student_id"])
-        stored_ids = {row[0] for _, row in stored_transcript.scan_rows()}
+        stored_ids = {row[0] for row in stored_transcript.scan_rows()}
         for student in range(max(stored_ids) + 2):
             assert index.contains((student,)) == (student in stored_ids)
 

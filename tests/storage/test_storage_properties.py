@@ -13,6 +13,7 @@ from repro.storage.buffer import BufferPool
 from repro.storage.config import StorageConfig
 from repro.storage.disk import SimulatedDisk
 from repro.storage.heapfile import HeapFile
+from repro.storage.page import SlottedPage, max_record_size
 from repro.storage.stats import IoStatistics
 
 
@@ -50,6 +51,60 @@ def test_mixed_codec_roundtrip(text, integer, floating):
     assert decoded == (text, integer, floating)
 
 
+# -- page-at-a-time appends vs one insert per record -----------------------
+
+page_sizes = st.one_of(
+    st.sampled_from([1024, 8192]),
+    st.integers(min_value=8, max_value=700).map(lambda n: 2 * n + 1),
+)
+
+
+def reference_pages(records, page_size):
+    """Page images built with one ``SlottedPage.insert`` per record."""
+    pages = []
+    for record in records:
+        if not pages or not SlottedPage(pages[-1]).fits(len(record)):
+            pages.append(bytearray(page_size))
+            SlottedPage.format(pages[-1])
+        SlottedPage(pages[-1]).insert(record)
+    return pages
+
+
+@given(page_size=page_sizes, data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_append_many_lays_out_pages_like_single_inserts(page_size, data):
+    largest = min(max_record_size(page_size), 300)
+    sizes = data.draw(st.lists(st.integers(0, largest), max_size=120), label="sizes")
+    records = [bytes([i % 251]) * size for i, size in enumerate(sizes)]
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(records)), max_size=4)))
+    config = StorageConfig(
+        page_size=page_size,
+        sort_run_page_size=page_size,
+        buffer_size=2 * page_size,
+        memory_limit=4 * page_size,
+        sort_buffer_size=page_size,
+    )
+    pool = BufferPool(config)
+    disk = pool.register_device(SimulatedDisk("d", page_size, IoStatistics()))
+    file = HeapFile(pool, disk, extent_pages=3)
+    # Several batches: each one refills the previous batch's tail page.
+    for start, end in zip([0] + cuts, cuts + [len(records)]):
+        assert file.append_many(records[start:end]) == end - start
+    assert file.record_count == len(records)
+    assert pool.fixed_page_count() == 0
+
+    expected = reference_pages(records, page_size)
+    scanned = list(file.scan())
+    assert len(scanned) == len(expected)
+    for (page_no, slot_count, region), image in zip(scanned, expected):
+        view = pool.fix("d", page_no)
+        assert bytes(view) == bytes(image)
+        pool.unfix("d", page_no)
+        count, packed = SlottedPage(image).packed_records()
+        assert (slot_count, region) == (count, bytes(packed))
+    assert b"".join(region for _, _, region in scanned) == b"".join(records)
+
+
 # -- heap file vs dict model ---------------------------------------------------
 
 
@@ -71,15 +126,15 @@ class HeapFileMachine(RuleBasedStateMachine):
             SimulatedDisk("d", 128, IoStatistics())
         )
         self.file = HeapFile(self.pool, self.disk, extent_pages=2)
-        self.model: dict = {}
+        self.model: list = []
         self.counter = 0
 
     @rule()
     def append(self):
         payload = bytes([self.counter % 251]) * (8 + self.counter % 24)
         rid = self.file.append(payload)
-        assert rid not in self.model
-        self.model[rid] = payload
+        assert rid not in dict(self.model)
+        self.model.append((rid, payload))
         self.counter += 1
 
     @rule()
@@ -92,8 +147,15 @@ class HeapFileMachine(RuleBasedStateMachine):
 
     @invariant()
     def scan_matches_model(self):
-        scanned = dict(self.file.scan())
-        assert scanned == self.model
+        # Each page holds its records back to back in slot order.
+        pages: dict = {}
+        for rid, payload in self.model:
+            pages.setdefault(rid.page_no, []).append((rid.slot, payload))
+        expected = [
+            (page_no, len(slots), b"".join(payload for _, payload in sorted(slots)))
+            for page_no, slots in sorted(pages.items())
+        ]
+        assert list(self.file.scan()) == expected
         assert self.file.record_count == len(self.model)
 
 
