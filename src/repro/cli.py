@@ -588,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="EXPLAIN ANALYZE one division strategy (repro.obs)",
         description="Run one division strategy over cold stored relations "
         "under the tracer and render the per-operator profile: rows, "
-        "next() calls, Comp/Hash/Move/Bit deltas, buffer and I/O activity, "
+        "protocol calls, Comp/Hash/Move/Bit deltas, buffer and I/O activity, "
         "and Table 1/Table 3 model milliseconds.",
     )
     from repro.plan.physical import STRATEGIES

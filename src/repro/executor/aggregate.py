@@ -33,6 +33,11 @@ def counted_schema(input_schema: Schema, group_names: Sequence[str]) -> Schema:
     )
 
 
+def _new_counter() -> list[int]:
+    """Payload of a fresh group in :class:`HashGroupCount`'s table."""
+    return [0]
+
+
 class SortedGroupCount(QueryIterator):
     """COUNT(*) per group over an input sorted on the group attributes.
 
@@ -143,8 +148,9 @@ class HashGroupCount(QueryIterator):
                 tag="hash-aggregate",
                 tracer=self.ctx.tracer,
             )
+            find_or_insert = self._table.find_or_insert
             for row in rows:
-                counter, _ = self._table.find_or_insert(extract(row), lambda: [0])
+                counter, _ = find_or_insert(extract(row), _new_counter)
                 counter[0] += 1
             if input_open:
                 self.input_op.close()

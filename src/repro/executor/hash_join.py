@@ -86,6 +86,16 @@ class HashSemiJoin(QueryIterator):
             if self._table.find(self._probe_key(row)) is not None:
                 return row
 
+    def _next_batch(self) -> list[Row]:
+        assert self._table is not None
+        find = self._table.find
+        probe_key = self._probe_key
+        while rows := self.probe.next_batch():
+            matched = [row for row in rows if find(probe_key(row)) is not None]
+            if matched:
+                return matched
+        return []
+
     def _close(self) -> None:
         self.probe.close()
         if self._table is not None:

@@ -7,7 +7,10 @@ they support a simple open-next-close protocol" (Section 5.1).  Here:
   inputs); stop-and-go operators such as sort do their heavy lifting
   here,
 * :meth:`QueryIterator.next` returns one output tuple or ``None`` when
-  exhausted,
+  exhausted, and :meth:`QueryIterator.next_batch` returns the next
+  non-empty list of output tuples or ``[]`` when exhausted -- a scan
+  hands over one decoded page per call, so the operators that consume
+  their input whole pay one protocol call per page, not per tuple,
 * :meth:`QueryIterator.close` releases resources (and closes inputs).
 
 The protocol is enforced with an explicit state machine so misuse is a
@@ -185,7 +188,8 @@ class QueryIterator:
     """Base class for all operators: the open-next-close protocol.
 
     Subclasses implement ``_open``, ``_next``, and optionally
-    ``_close``; the public methods enforce the protocol state machine.
+    ``_next_batch`` and ``_close``; the public methods enforce the
+    protocol state machine.
     An operator may be re-opened after :meth:`close` when its inputs
     support it.
     """
@@ -251,6 +255,37 @@ class QueryIterator:
             self.rows_produced += 1
         return row
 
+    def next_batch(self) -> list[Row]:
+        """Produce the next non-empty list of tuples, or ``[]`` when
+        exhausted.
+
+        One call is one protocol call (one ``next`` frame for the
+        tracer), however many tuples it returns.  Tuples come out in
+        the order :meth:`next` would produce them, and the two may be
+        mixed on one operator.
+        """
+        if self._state is _State.FINISHED:
+            return []
+        if self._state is not _State.OPEN:
+            raise ExecutionError(
+                f"{type(self).__name__}.next_batch() called in state "
+                f"{self._state.value}"
+            )
+        tracer = self.ctx.tracer
+        if tracer.enabled:
+            tracer.operator_enter(self, "next")
+            try:
+                rows = self._next_batch()
+            finally:
+                tracer.operator_exit(self, "next")
+        else:
+            rows = self._next_batch()
+        if rows:
+            self.rows_produced += len(rows)
+        else:
+            self._state = _State.FINISHED
+        return rows
+
     def close(self) -> None:
         """Release resources; **idempotent** once the operator has ever
         been opened.
@@ -294,18 +329,22 @@ class QueryIterator:
     def _next(self) -> Optional[Row]:
         raise NotImplementedError
 
+    def _next_batch(self) -> list[Row]:
+        """Default: one tuple per batch, so an operator that does not
+        override this reads its input exactly as :meth:`next` does."""
+        row = self._next()
+        return [] if row is None else [row]
+
     def _close(self) -> None:
         """Default: nothing to release."""
 
     # -- conveniences ------------------------------------------------------------
 
     def __iter__(self) -> Iterator[Row]:
-        """Drain the (already opened) operator as a Python iterator."""
-        while True:
-            row = self.next()
-            if row is None:
-                return
-            yield row
+        """Drain the (already opened) operator as a Python iterator,
+        one batch per protocol call."""
+        while rows := self.next_batch():
+            yield from rows
 
     def children(self) -> tuple["QueryIterator", ...]:
         """Direct input operators, for plan display."""

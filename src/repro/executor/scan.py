@@ -24,23 +24,48 @@ class StoredRelationScan(QueryIterator):
 
     Each page is fixed once, in physical order, and decoded whole;
     buffer misses become sequential read transfers on the backing
-    device.
+    device.  :meth:`next_batch` hands out the rest of the current page,
+    or the next page with records; :meth:`next` hands out its rows one
+    at a time.  Either reads a page only once every row before it has
+    been handed out.
     """
 
     def __init__(self, ctx: ExecContext, stored: StoredRelation) -> None:
         super().__init__(ctx, stored.schema)
         self.stored = stored
-        self._rows: Iterator[Row] | None = None
+        self._pages: Iterator[list[Row]] | None = None
+        #: The current page's rows, and how many were handed out.
+        self._page: list[Row] = []
+        self._taken = 0
 
     def _open(self) -> None:
-        self._rows = self.stored.scan_rows()
+        self._pages = self.stored.file.scan_pages(self.stored.codec)
+        self._page = []
+        self._taken = 0
 
     def _next(self) -> Optional[Row]:
-        assert self._rows is not None
-        return next(self._rows, None)
+        if self._taken == len(self._page):
+            self._page = self._next_batch()
+            if not self._page:
+                return None
+        row = self._page[self._taken]
+        self._taken += 1
+        return row
+
+    def _next_batch(self) -> list[Row]:
+        assert self._pages is not None
+        page, taken = self._page, self._taken
+        self._page, self._taken = [], 0
+        if taken < len(page):
+            return page[taken:]
+        for page in self._pages:
+            if page:
+                return page
+        return []
 
     def _close(self) -> None:
-        self._rows = None
+        self._pages = None
+        self._page = []
 
     def describe(self) -> str:
         return f"StoredRelationScan({self.stored.name})"

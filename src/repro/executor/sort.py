@@ -172,9 +172,6 @@ class ExternalSort(QueryIterator):
 
     # -- internals -----------------------------------------------------------
 
-    def _transform(self, row: Row) -> Row:
-        return self.reducer.init(row) if self.reducer is not None else row
-
     def _sort_chunk(self, chunk: list[Row]) -> list[Row]:
         """Quicksort one chunk and collapse equal keys.
 
@@ -211,17 +208,17 @@ class ExternalSort(QueryIterator):
 
         Returns the sorted rows directly when the whole input fits in
         the sort buffer (no run files, no I/O); otherwise fills
-        ``self._runs`` and returns ``None``.
+        ``self._runs`` and returns ``None``.  Every run but the last
+        holds exactly ``capacity`` rows, however the input batches
+        them, and is written before the next batch is read.
         """
+        init = self.reducer.init if self.reducer is not None else None
         chunk: list[Row] = []
-        while True:
-            row = self.input_op.next()
-            if row is None:
-                break
-            chunk.append(self._transform(row))
-            if len(chunk) >= capacity:
-                self._write_run(self._sort_chunk(chunk))
-                chunk = []
+        while rows := self.input_op.next_batch():
+            chunk.extend(rows if init is None else map(init, rows))
+            while len(chunk) >= capacity:
+                run, chunk = chunk[:capacity], chunk[capacity:]
+                self._write_run(self._sort_chunk(run))
         if not self._runs:
             # Entire input fit in the sort buffer: no run files, no I/O.
             return self._sort_chunk(chunk)

@@ -12,7 +12,7 @@ happens inside the plan escapes.
 
 :class:`QueryProfile` assembles those per-operator records with the
 run totals and prices them with :class:`~repro.costmodel.units.CostUnits`
-(Table 1) -- producing the per-iterator rows-in/out, next() calls,
+(Table 1) -- producing the per-iterator rows-in/out, protocol calls,
 operation deltas, buffer and I/O activity, and model-milliseconds view
 that ``repro profile`` and ``Query.explain_analyze()`` render.
 """
@@ -78,7 +78,9 @@ class OperatorStats:
 
     @property
     def next_calls(self) -> int:
-        """How many times ``next()`` was invoked on this operator."""
+        """Protocol calls that asked this operator for output: ``next()``
+        and ``next_batch()`` calls, one per call however many rows it
+        returned."""
         return self.calls.get("next", 0)
 
     def cpu_model_ms(self, units: CostUnits = PAPER_UNITS) -> float:

@@ -249,12 +249,15 @@ class BufferPool:
             self._evict_one()
 
     def _evict_one(self) -> None:
-        key, _ = self._lru.popitem(last=False)
+        # Write the LRU head back before taking it off the list: if the
+        # write faults, the frame stays resident, dirty and evictable.
+        key = next(iter(self._lru))
         frame = self._frames[key]
         if frame.dirty:
             device, page_no = key
             self._disks[device].write_page(page_no, frame.data)
             self.stats.writebacks += 1
+        del self._lru[key]
         del self._frames[key]
         self._bytes_in_use -= len(frame.data)
         self.stats.evictions += 1

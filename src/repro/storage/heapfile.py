@@ -147,12 +147,18 @@ class HeapFile:
                 self.pool.unfix(device, page_no)
             yield page_no, slot_count, records
 
-    def scan_rows(self, codec: RecordCodec) -> Iterator[tuple]:
-        """Sequential scan decoding each page's records with ``codec``."""
+    def scan_pages(self, codec: RecordCodec) -> Iterator[list[tuple]]:
+        """Sequential scan yielding each page's records decoded with
+        ``codec``, one list per page (empty for a page with no
+        records)."""
         decode_page = codec.decode_page
-        return chain.from_iterable(
+        return (
             decode_page(records, slot_count) for _, slot_count, records in self.scan()
         )
+
+    def scan_rows(self, codec: RecordCodec) -> Iterator[tuple]:
+        """Sequential scan decoding each page's records with ``codec``."""
+        return chain.from_iterable(self.scan_pages(codec))
 
     # -- lifecycle --------------------------------------------------------------
 

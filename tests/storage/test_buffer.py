@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import BufferPoolError, StorageError
+from repro.errors import BufferPoolError, DiskFaultError, StorageError
+from repro.faults import FaultInjector, FaultRule
 from repro.storage.buffer import BufferPool
 from repro.storage.config import StorageConfig
 from repro.storage.disk import SimulatedDisk
@@ -165,6 +166,35 @@ class TestEvictionAndWriteback:
         fresh_page(pool, disk)
         with pytest.raises(BufferPoolError):
             fresh_page(pool, disk)
+
+
+    def test_faulted_writeback_leaves_the_victim_evictable(self):
+        pool, disk = make_pool(pages=2, limit_pages=2)
+        disk.attach_faults(
+            FaultInjector(
+                [FaultRule("permanent", op="write", every_nth=4, max_fires=1)]
+            )
+        )
+        pages = []
+        for marker in range(1, 6):
+            page_no, view = fresh_page(pool, disk)
+            view[0] = marker
+            pool.unfix("d", page_no, dirty=True)
+            pages.append(page_no)
+        # The sixth page evicts the fourth, whose write-back (the 4th
+        # write) faults.
+        with pytest.raises(DiskFaultError):
+            fresh_page(pool, disk)
+        assert pool.stats.writebacks == 3
+        # Both resident frames can still be evicted: two fresh pages
+        # fixed at once need both frames, so the fourth page is written
+        # back after all, and keeps its contents.
+        first, _ = fresh_page(pool, disk)
+        second, _ = fresh_page(pool, disk)
+        assert pool.stats.writebacks == 5
+        pool.unfix("d", first)
+        pool.unfix("d", second)
+        assert disk.read_page(pages[3])[0] == 4
 
 
 class TestMaintenance:
